@@ -3,16 +3,16 @@
    Unlike bench/recovery.ml (simulated time), this measures real elapsed
    seconds and real GC allocation:
 
-   - append: Slb.append throughput (record framed into the SLB scratch,
-     one stable-memory write per record);
+   - append: Slb.Region.append throughput (record framed into the SLB
+     scratch, one stable-memory write per record);
    - append_hooked: the same with an installed-but-idle stable-memory
      fault hook, bounding the observation cost fault campaigns add to the
      hot path (CI asserts the ratio);
    - append_obs: the same with a flight recorder attached, bounding the
      observability cost on the hot path (CI asserts ops stay at >= 0.5x
      the uninstrumented append);
-   - drain: Slb streaming drain throughput (records decoded in place from
-     the per-SLB read buffer, no per-transaction lists);
+   - drain: Slb streaming drain throughput (raw frames handed out in
+     place from the per-region read buffer, nothing decoded);
    - debit_credit: end-to-end transactions/sec through Db on
      Config.default, including commit, the sorter and page flushes; also
      reports wall-clock p50/p99 per-transaction latency from an
@@ -22,7 +22,12 @@
      deterministic executor schedule (Sim_exec.run_scheduled) at
      executors=4 over striped SLB regions, with the executors=1 scheduled
      throughput alongside ("ops_per_sec_e1") so the striping overhead is
-     visible in BENCH.json.
+     visible in BENCH.json;
+   - restore: a full restart of a debit/credit instance (catalog
+     bootstrap, then every partition: checkpoint image ∥ log chain, then
+     the REDO apply), repeated over several crash/recover cycles; ops are
+     records applied and the allocation is billed per record applied
+     (CI floors it: the image copies and the frame walk must not grow).
 
    The codec sweep runs the debit_credit workload once per REDO codec
    (physical / logical / adaptive) and reports, per codec, the log bytes
@@ -72,6 +77,17 @@ let measure_window acc ~ops f =
   end;
   dt
 
+(* Words allocated so far, exactly: [Gc.minor] first flushes the young
+   generation into the counters, so no phantom step is read.  The restore
+   row needs this instead of clean windows: its image copies and page
+   reads are direct major-heap allocations, and every major slice they
+   request forces a minor collection, so no restore window is ever
+   clean. *)
+let allocated_words () =
+  Gc.minor ();
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
 let per_op acc = if acc.ops = 0 then 0.0 else acc.bytes /. float_of_int acc.ops
 
 let mk_layout () =
@@ -91,6 +107,7 @@ let bench_append ?(hooked = false) ?(obs = false) n =
     Sm.set_fault_hook (Stable_layout.mem layout)
       (Some { Sm.on_write = (fun ~off:_ ~len:_ -> ()) });
   let slb = Slb.create layout in
+  let region = Slb.region slb 0 in
   if obs then begin
     (* A live flight recorder: every append records an Slb_append event. *)
     let clock = ref 0.0 in
@@ -106,7 +123,7 @@ let bench_append ?(hooked = false) ?(obs = false) n =
       !elapsed
       +. measure_window alloc ~ops:k (fun () ->
              for i = 1 to k do
-               Slb.append slb ~txn_id:(i land 15) r
+               Slb.Region.append region ~txn_id:(i land 15) r
              done);
     (* Untimed: recycle the blocks so the pool never exhausts. *)
     for t = 0 to 15 do Slb.abort slb ~txn_id:t done;
@@ -117,6 +134,7 @@ let bench_append ?(hooked = false) ?(obs = false) n =
 let bench_drain n =
   let layout = mk_layout () in
   let slb = Slb.create layout in
+  let region = Slb.region slb 0 in
   let per_txn = 4 in
   let batch_txns = 200 in
   let elapsed = ref 0.0 and alloc = acc () and done_ = ref 0 in
@@ -125,9 +143,9 @@ let bench_drain n =
     let txns = min batch_txns (((n - !done_) / per_txn) + 1) in
     for t = 1 to txns do
       for s = 1 to per_txn do
-        Slb.append slb ~txn_id:t (mk_record ~seq:s)
+        Slb.Region.append region ~txn_id:t (mk_record ~seq:s)
       done;
-      Slb.commit slb ~txn_id:t
+      Slb.Region.commit region ~txn_id:t
     done;
     (* The production drain path: raw frames, routing fields peeked out of
        the encoding, no Log_record ever materialized. *)
@@ -135,7 +153,7 @@ let bench_drain n =
       !elapsed
       +. measure_window alloc ~ops:(txns * per_txn) (fun () ->
              ignore
-               (Slb.drain_raw slb ~f:(fun ~txn_id:_ buf ~pos ~len:_ ->
+               (Slb.drain slb ~f:(fun ~txn_id:_ buf ~pos ~len:_ ->
                     sink := !sink + Log_record.peek_seq buf ~pos)));
     done_ := !done_ + (txns * per_txn)
   done;
@@ -182,6 +200,38 @@ let bench_txn n =
   ignore (Mrdb_obs.Obs.drain_batch (Mrdb_core.Db.obs db));
   let obs_json = Mrdb_obs.Export.json ~t:(Mrdb_core.Db.obs db) () in
   ((float_of_int n /. dt, allocated_per_op), (p50, p99), obs_json)
+
+(* Full restarts of one debit/credit instance: [cycles] crash/recover
+   rounds, each a measured window around Db.recover + recover_everything
+   (every partition fetched and replayed).  The instance is checkpointed
+   and then runs [txns] more transactions first, so every restore reads a
+   real image and replays a real chain.  Ops = records applied. *)
+let bench_restore ~txns ~cycles =
+  let db = Mrdb_core.Db.create ~config:Mrdb_core.Config.default () in
+  let bank = Mrdb_core.Workload.Bank.setup db ~accounts:400 ~tellers:8 ~branches:2 () in
+  let rng = Mrdb_util.Rng.of_int 7 in
+  Mrdb_core.Db.checkpoint_all db;
+  for _ = 1 to txns do
+    Mrdb_core.Workload.Bank.run_debit_credit bank db ~rng
+  done;
+  Mrdb_core.Db.quiesce db;
+  let applied () =
+    Mrdb_sim.Trace.count (Mrdb_core.Db.trace db) "recovery_records_applied"
+  in
+  let elapsed = ref 0.0 and words = ref 0.0 and records = ref 0 in
+  for _ = 1 to cycles do
+    Mrdb_core.Db.crash db;
+    let n0 = applied () in
+    let w0 = allocated_words () in
+    let t0 = now () in
+    Mrdb_core.Db.recover db;
+    Mrdb_core.Db.recover_everything db;
+    elapsed := !elapsed +. (now () -. t0);
+    words := !words +. (allocated_words () -. w0);
+    records := !records + (applied () - n0)
+  done;
+  let records = float_of_int !records in
+  (records /. !elapsed, !words *. float_of_int (Sys.word_size / 8) /. records)
 
 (* One debit_credit run under a forced REDO codec.  Log volume comes from
    the codec_log_bytes counter (maintained for every emitted record, any
@@ -310,6 +360,7 @@ let () =
       ("drain", bench_drain (scale 200_000), scale 200_000);
       ("debit_credit", txn_result, scale 2_000);
       ("debit_credit_nexec", nexec_result, scale 2_000);
+      ("restore", bench_restore ~txns:(scale 2_000) ~cycles:(scale 100), scale 100);
     ]
   in
   let buf = Buffer.create 512 in

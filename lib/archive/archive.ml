@@ -48,10 +48,8 @@ let latest_image t part =
   (* Newest-first scan; the first hit is the latest. *)
   let rec find = function
     | [] -> None
-    | Tape.Ckpt_image { part = p; image; _ } :: _ when Addr.equal_partition p part -> (
-        match Mrdb_ckpt.Ckpt_image.decode image with
-        | Ok img -> Some img
-        | Error e -> Mrdb_util.Fatal.invariant ~mod_:"Archive" ("corrupt archived image: " ^ e))
+    | Tape.Ckpt_image { part = p; image; _ } :: _ when Addr.equal_partition p part ->
+        Some image
     | _ :: rest -> find rest
   in
   find t.tape.Tape.records

@@ -43,8 +43,10 @@ val on_log_page : t -> lsn:int64 -> bytes -> unit
 val on_ckpt_image : t -> Mrdb_ckpt.Ckpt_image.t -> page_bytes:int -> unit
 (** Called by the checkpoint transaction after the image is durable. *)
 
-val latest_image : t -> Addr.partition -> Mrdb_ckpt.Ckpt_image.t option
-(** Newest archived checkpoint image of a partition (scans the tape). *)
+val latest_image : t -> Addr.partition -> bytes option
+(** Newest archived checkpoint image of a partition, encoded exactly as it
+    went to the checkpoint disk (scans the tape) — the restore fetch
+    validates it like a track read. *)
 
 val log_pages_after : t -> lsn:int64 -> (int64 * bytes) list
 (** Archived log pages with LSN > the given one, oldest first — the tail

@@ -42,7 +42,9 @@ let encode ~page_bytes t =
       : int);
   b
 
-let decode b =
+type view = { v_part : Addr.partition; v_watermark : int; pos : int; len : int }
+
+let check b =
   if Bytes.length b < header_bytes then Error "image too small"
   else if Mrdb_util.Codec.get_u32 b 0 <> magic then Error "bad image magic"
   else begin
@@ -51,10 +53,16 @@ let decode b =
     let watermark = Int64.to_int (Mrdb_util.Codec.get_i64 b 20) in
     let len = Mrdb_util.Codec.get_u32 b 28 in
     if header_bytes + len > Bytes.length b then Error "truncated image"
-    else begin
-      let snapshot = Bytes.sub b header_bytes len in
-      if Bytes.get_int32_le b 32 <> Mrdb_util.Checksum.crc32_bytes snapshot then
-        Error "image crc mismatch"
-      else Ok { part = { Addr.segment; partition }; watermark; snapshot }
-    end
+    else if
+      Bytes.get_int32_le b 32
+      <> Mrdb_util.Checksum.crc32 b ~pos:header_bytes ~len
+    then Error "image crc mismatch"
+    else
+      Ok
+        {
+          v_part = { Addr.segment; partition };
+          v_watermark = watermark;
+          pos = header_bytes;
+          len;
+        }
   end

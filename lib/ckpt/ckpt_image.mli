@@ -32,5 +32,12 @@ val encode_into :
 
 val pages_needed : page_bytes:int -> snapshot_bytes:int -> int
 
-val decode : bytes -> (t, string) result
-(** Verify magic + CRC; tolerate trailing page padding. *)
+type view = { v_part : Addr.partition; v_watermark : int; pos : int; len : int }
+(** A verified image in place: the snapshot is [len] bytes at [pos] of the
+    buffer {!check} was given. *)
+
+val check : bytes -> (view, string) result
+(** Verify magic + CRC in place, without copying the snapshot out; tolerate
+    trailing page padding.  The restore path builds its partition straight
+    out of the track buffer from this ({!Mrdb_storage.Partition.of_snapshot}
+    with [pos]/[len]). *)

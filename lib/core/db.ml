@@ -648,7 +648,7 @@ let create ?(config = Config.default) () =
   List.iter
     (fun (part, redo) -> Db_system.log_redo_raw (ctx t) v ~txn_id:(Txn_core.id tx) part redo)
     (List.rev !buffered);
-  Slb.commit v.slb ~txn_id:(Txn_core.id tx);
+  Slb.Region.commit (Slb.region v.slb 0) ~txn_id:(Txn_core.id tx);
   Txn_core.Manager.commit v.txn_mgr tx;
   Db_system.drain (ctx t);
   Db_system.update_wellknown (ctx t) v;

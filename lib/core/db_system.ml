@@ -139,7 +139,7 @@ and with_system_txn : 'a. ctx -> vol -> (Relation.log_sink -> 'a) -> 'a =
   let tx = Txn_core.Manager.begin_txn v.txn_mgr in
   let sink part ~redo ~undo:_ = log_redo_raw ctx v ~txn_id:(Txn_core.id tx) part redo in
   let result = f sink in
-  Slb.commit v.slb ~txn_id:(Txn_core.id tx);
+  Slb.Region.commit (Slb.region v.slb 0) ~txn_id:(Txn_core.id tx);
   Txn_core.Manager.commit v.txn_mgr tx;
   drain ctx;
   result
@@ -273,7 +273,7 @@ let drop_relation ctx v ~name =
   (* Atomic step: catalog deletions commit in one system transaction. *)
   let sink part ~redo ~undo:_ = log_redo_raw ctx v ~txn_id:(Txn_core.id tx) part redo in
   Catalog.drop_relation v.cat ~log:sink desc;
-  Slb.commit v.slb ~txn_id:(Txn_core.id tx);
+  Slb.Region.commit (Slb.region v.slb 0) ~txn_id:(Txn_core.id tx);
   Txn_core.Manager.commit v.txn_mgr tx;
   ignore (Lock_mgr.release_all v.lock_mgr ~txn:(Txn_core.id tx));
   drain ctx;

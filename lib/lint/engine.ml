@@ -89,7 +89,7 @@ let rec fault_injection_call = function
   | _ :: rest -> fault_injection_call rest
   | [] -> None
 
-(* R7: does the reference path name an SLB append?  Matches [Slb.append],
+(* R7: does the reference path name an SLB append?  Matches
    [Slb.Region.append], the group-commit staging spelling
    [Slb.Region.stage_append], and their [Mrdb_wal]-qualified variants —
    "Slb" anywhere in the path with "append"/"stage_append" after it. *)

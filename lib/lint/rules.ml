@@ -347,7 +347,7 @@ let default_config =
         };
         {
           a_rel = "recovery/restorer.ml";
-          a_binding = "recover_partition";
+          a_binding = "ensure_partition";
           a_ident = "Sim.now";
           a_why = "restore-latency measurement on the simulated clock; obs only";
         };
@@ -401,13 +401,7 @@ let default_config =
         };
         {
           res_name = "striped SLB regions";
-          res_write_idents =
-            [
-              ("Slb", "append");
-              ("Region", "append");
-              ("Slb", "stage_append");
-              ("Region", "stage_append");
-            ];
+          res_write_idents = [ ("Region", "append"); ("Region", "stage_append") ];
           res_fields = [];
           res_owners = [ "wal/"; "core/db_system.ml" ];
         };
@@ -431,7 +425,8 @@ let default_config =
              not carry, so WHERE commands may be applied is an integrity
              boundary.  Only the codec subsystem itself and the shared
              REDO kernel in the restorer may run the dispatch table (the
-             standby audit reaches it through Restorer.apply_records). *)
+             standby audit reaches it through Restorer.apply_records, which
+             decodes each frame once and dispatches its command). *)
           res_name = "replay dispatch table";
           res_write_idents = [ ("Replay", "apply_cmd"); ("Dispatch", "register") ];
           res_fields = [];

@@ -19,7 +19,7 @@
       [print_endline] / [print_newline] are banned under [lib/] outside
       [lib/obs/] and [util/texttab.ml] — library code renders through
       [Mrdb_obs.Export] or [Mrdb_util.Texttab]; only binaries print.
-    - {b R7 SLB region ownership}: [Slb.append] / [Slb.Region.append] call
+    - {b R7 SLB region ownership}: [Slb.Region.append] / [stage_append] call
       sites are confined to [core/db_system.ml] (the per-executor redo
       sink) and [lib/wal/] — each striped region is appended only by its
       owning executor's logging path.

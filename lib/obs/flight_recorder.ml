@@ -1,5 +1,5 @@
 (* Struct-of-arrays ring: recording touches five preallocated arrays and
-   a cursor — nothing is boxed, so the recorder can sit inside Slb.append
+   a cursor — nothing is boxed, so the recorder can sit inside Slb.Region.append
    without moving the hot-path needle (bench/hotpath.ml's append_obs
    bounds the cost in CI). *)
 

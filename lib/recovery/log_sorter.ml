@@ -2,7 +2,6 @@ module Cpu = Mrdb_sim.Cpu
 module Trace = Mrdb_sim.Trace
 module Slb = Mrdb_wal.Slb
 module Slt = Mrdb_wal.Slt
-module Log_record = Mrdb_wal.Log_record
 module Log_disk = Mrdb_wal.Log_disk
 
 (* Table 2 instruction costs, charged against the dedicated 1-MIPS recovery
@@ -35,10 +34,10 @@ let drain s =
   let txns =
     (* Raw frames end-to-end: no Log_record is ever materialized between
        the SLB chain and the partition bin. *)
-    Slb.drain_raw s.slb ~f:(fun ~txn_id:_ buf ~pos ~len ->
+    Slb.drain s.slb ~f:(fun ~txn_id:_ buf ~pos ~len ->
         incr records;
         bytes := !bytes + len;
-        Slt.accept_raw s.slt buf ~pos ~len)
+        Slt.accept s.slt buf ~pos ~len)
   in
   let pages = Log_disk.pages_written s.log_disk - pages0 in
   Trace.add s.env.Recovery_env.trace "sorter_records_streamed" !records;
@@ -61,8 +60,8 @@ let drain s =
 
 let sort_backlog ~slb ~slt =
   ignore
-    (Slb.drain_raw slb ~f:(fun ~txn_id:_ buf ~pos ~len ->
-         Slt.accept_raw slt buf ~pos ~len))
+    (Slb.drain slb ~f:(fun ~txn_id:_ buf ~pos ~len ->
+         Slt.accept slt buf ~pos ~len))
 
 let force_log s =
   List.iter (fun part -> Slt.flush_partition s.slt part) (Slt.active_partitions s.slt);

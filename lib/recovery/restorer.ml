@@ -2,6 +2,7 @@ open Mrdb_storage
 module Trace = Mrdb_sim.Trace
 module Slt = Mrdb_wal.Slt
 module Log_record = Mrdb_wal.Log_record
+module Log_page = Mrdb_wal.Log_page
 module Ckpt_image = Mrdb_ckpt.Ckpt_image
 module Archive = Mrdb_archive.Archive
 
@@ -52,93 +53,102 @@ let read_ckpt_track env ~first_page ~pages k =
         Trace.incr env.Recovery_env.trace "restorer_ckpt_read_retries";
         Mrdb_hw.Disk.read_track disk ~first_page ~pages k)
 
-(* Read a partition's checkpoint image; when the checkpoint disk cannot
-   produce a valid image (media failure), fall back to the newest archived
-   copy — the archive saw every image ever written, so its newest copy is
-   exactly the one the catalog references. *)
-let read_ckpt_image env ~(part : Addr.partition) (desc : Catalog.partition_desc) k =
-  let fallback reason =
-    match env.Recovery_env.archiver with
-    | Some a -> (
-        match Archive.latest_image a part with
-        | Some image ->
-            Trace.incr env.Recovery_env.trace "media_recoveries";
-            k (Some image)
-        | None ->
-            Mrdb_util.Fatal.invariant ~mod_:"Restorer"
-              ("checkpoint image lost and not archived: " ^ reason))
-    | None ->
-        Mrdb_util.Fatal.invariant ~mod_:"Restorer" ("corrupt checkpoint image: " ^ reason)
-  in
-  if desc.Catalog.ckpt_page < 0 then k None
-  else
-    read_ckpt_track env ~first_page:desc.Catalog.ckpt_page
-      ~pages:desc.Catalog.ckpt_page_count (function
-        | Error e -> fallback ("media read failed: " ^ e)
-        | Ok data -> (
-            match Ckpt_image.decode data with
-            | Ok image -> k (Some image)
-            | Error e -> fallback e))
+(* Build a partition from a checkpoint image held in [b] (a track buffer
+   or a standby's peeked pages): CRC checked in place, the image must
+   belong to [part], and the partition takes the one copy out of [b].  A
+   CRC-valid image whose snapshot is structurally corrupt is an [Error]
+   like any other bad image. *)
+let partition_of_image ~(part : Addr.partition) b =
+  match Ckpt_image.check b with
+  | Error e -> Error e
+  | Ok v when not (Addr.equal_partition v.Ckpt_image.v_part part) ->
+      Error "checkpoint image for wrong partition"
+  | Ok v -> (
+      match Partition.of_snapshot ~pos:v.Ckpt_image.pos ~len:v.Ckpt_image.len b with
+      | p -> Ok (p, v.Ckpt_image.v_watermark)
+      | exception Mrdb_util.Fatal.Invariant { what; _ } -> Error what)
 
-(* Replay a recovered record stream on top of a checkpoint image: records
-   at or below the watermark are already in the image and are skipped
-   (idempotent replay, for both record families).  Returns the highest
-   sequence number seen.  [rel] supplies the relation runtime for logical
-   command records — the restart path builds one from the catalog schema;
-   callers without schema access (the standby audit) omit it and commands
-   replay at the partition-byte level.  [on_applied] lets the
-   catalogued-partition path bump its trace counter without the
-   catalog-bootstrap path inheriting it. *)
-let apply_records ~partition ?rel ~watermark ?(on_applied = fun () -> ()) records =
+(* Fetch one partition's restore inputs: the checkpoint image and the log
+   chain are read in parallel (different disks), the image with one
+   bounded retry and — when the checkpoint disk cannot produce a valid one
+   (media failure) — the newest archived copy, which is exactly the one
+   the catalog references since the archive saw every image ever written.
+   A never-checkpointed partition starts empty at watermark 0.  Serves
+   both data partitions and the restart-time catalog bootstrap. *)
+let fetch env ~slt ~(part : Addr.partition) ~first_page ~pages =
+  let base = ref None and chunks = ref None in
+  let fallback reason =
+    let fail msg = Mrdb_util.Fatal.invariant ~mod_:"Restorer" msg in
+    match Option.map (fun a -> Archive.latest_image a part) env.Recovery_env.archiver with
+    | None -> fail ("corrupt checkpoint image: " ^ reason)
+    | Some None -> fail ("checkpoint image lost and not archived: " ^ reason)
+    | Some (Some image) -> (
+        Trace.incr env.Recovery_env.trace "media_recoveries";
+        match partition_of_image ~part image with
+        | Ok base -> base
+        | Error e -> fail ("corrupt archived image: " ^ e))
+  in
+  if first_page < 0 then
+    base :=
+      Some
+        ( Partition.create ~size:env.Recovery_env.partition_bytes
+            ~segment:part.Addr.segment ~partition:part.Addr.partition,
+          0 )
+  else
+    read_ckpt_track env ~first_page ~pages (fun result ->
+        base :=
+          Some
+            (match result with
+            | Error e -> fallback ("media read failed: " ^ e)
+            | Ok data -> (
+                match partition_of_image ~part data with
+                | Ok b -> b
+                | Error e -> fallback e)));
+  Slt.records_for_recovery slt part (fun result ->
+      match result with
+      | Ok cs -> chunks := Some cs
+      | Error e -> Mrdb_util.Fatal.invariant ~mod_:"Restorer" ("log recovery failed: " ^ e));
+  Recovery_env.pump_until env (fun () -> !base <> None && !chunks <> None);
+  match (!base, !chunks) with
+  | Some (partition, watermark), Some chunks -> (partition, watermark, chunks)
+  | _ -> Mrdb_util.Fatal.invariant ~mod_:"Restorer" "fetch: pump returned early"
+
+(* The REDO kernel: walk the recovered frames in stream order, skip those
+   at or below the watermark (already in the image — idempotent replay
+   for both record families), decode each remaining frame exactly once
+   and apply it.  Returns the highest sequence number seen.  Command
+   records need a dispatch target: the relation runtime [rel] when the
+   caller supplies one (restart recovery; forced only at the first
+   command frame), else schema-free partition-cell patching (the standby
+   audit).  [on_applied] lets the catalogued-partition path bump its
+   trace counter without the catalog bootstrap inheriting it. *)
+let apply_records ~partition ?rel ~watermark ?(on_applied = fun () -> ()) chunks =
   let max_seq = ref watermark in
+  let target =
+    lazy
+      (match rel with
+      | Some rel -> Mrdb_logical.Dispatch.Rel { rel = Lazy.force rel; part = partition }
+      | None -> Mrdb_logical.Dispatch.Part partition)
+  in
   List.iter
-    (fun (r : Log_record.t) ->
-      if r.Log_record.seq > watermark then begin
-        (match r.Log_record.op with
-        | Log_record.Physical op -> Part_op.apply partition op
-        | Log_record.Command cmd ->
-            let target =
-              match rel with
-              | Some rel -> Mrdb_logical.Dispatch.Rel { rel; part = partition }
-              | None -> Mrdb_logical.Dispatch.Part partition
-            in
-            Mrdb_logical.Replay.apply_cmd ~target cmd);
-        on_applied ()
-      end;
-      if r.Log_record.seq > !max_seq then max_seq := r.Log_record.seq)
-    records;
+    (fun (c : Log_page.chunk) ->
+      Log_page.iter_frames c.Log_page.buf ~pos:c.Log_page.pos ~used:c.Log_page.len
+        ~f:(fun buf ~pos ~len ->
+          let seq = Log_record.peek_seq buf ~pos in
+          if seq > watermark then begin
+            (match (Log_record.decode_at buf ~pos ~len).Log_record.op with
+            | Log_record.Physical op -> Part_op.apply partition op
+            | Log_record.Command cmd ->
+                Mrdb_logical.Replay.apply_cmd ~target:(Lazy.force target) cmd);
+            on_applied ()
+          end;
+          if seq > !max_seq then max_seq := seq))
+    chunks;
   !max_seq
 
-(* A relation runtime for logical replay, when the stream needs one: a
-   private scratch segment holding just this partition, wrapped in a
-   [Relation.t] carrying the catalogued schema.  Private so replay-time
-   reads never perturb the real segment table mid-recovery. *)
-let replay_relation cat ~(part : Addr.partition) ~partition_bytes partition records =
-  let has_command =
-    List.exists
-      (fun (r : Log_record.t) ->
-        match r.Log_record.op with
-        | Log_record.Command _ -> true
-        | Log_record.Physical _ -> false)
-      records
-  in
-  if not has_command then None
-  else
-    match Catalog.relation_of_segment cat part.Addr.segment with
-    | None ->
-        Mrdb_util.Fatal.invariant ~mod_:"Restorer"
-          "command records for a segment no relation owns"
-    | Some desc ->
-        let seg = Segment.create ~id:part.Addr.segment ~partition_bytes in
-        Segment.install seg partition;
-        Some
-          (Relation.create ~id:desc.Catalog.rel_id ~name:desc.Catalog.rel_name
-             ~schema:desc.Catalog.schema ~segment:seg)
-
-(* Restore one partition: checkpoint image and log stream are fetched in
-   parallel (different disks), then records with seq > watermark are
-   applied in original order. *)
-let recover_partition r part k =
+(* Restore one partition if it is not resident: fetch its image and
+   chain, then apply the records above the watermark in original order. *)
+let ensure_partition r part =
   let env = r.env in
   let desc =
     match Catalog.partition_desc r.cat part with
@@ -147,47 +157,45 @@ let recover_partition r part k =
         Mrdb_util.Fatal.invariant ~mod_:"Restorer"
           (Format.asprintf "partition %a not catalogued" Addr.pp_partition part)
   in
-  if desc.Catalog.resident then k ()
-  else begin
+  if not desc.Catalog.resident then begin
     let t0 = Mrdb_sim.Sim.now env.Recovery_env.sim in
-    let image = ref None and image_done = ref false in
-    let records = ref [] and records_done = ref false in
-    read_ckpt_image env ~part desc (fun img ->
-        image := img;
-        image_done := true);
-    Slt.records_for_recovery r.slt part (fun result ->
-        (match result with
-        | Ok rs -> records := rs
-        | Error e -> Mrdb_util.Fatal.invariant ~mod_:"Restorer" ("log recovery failed: " ^ e));
-        records_done := true);
-    Recovery_env.pump_until env (fun () -> !image_done && !records_done);
-    let partition, watermark =
-      match !image with
-      | Some img ->
-          if not (Addr.equal_partition img.Ckpt_image.part part) then
-            Mrdb_util.Fatal.invariant ~mod_:"Restorer" "checkpoint image for wrong partition";
-          (Partition.of_snapshot img.Ckpt_image.snapshot, img.Ckpt_image.watermark)
-      | None ->
-          ( Partition.create ~size:env.Recovery_env.partition_bytes
-              ~segment:part.Addr.segment ~partition:part.Addr.partition,
-            0 )
+    let partition, watermark, chunks =
+      fetch env ~slt:r.slt ~part ~first_page:desc.Catalog.ckpt_page
+        ~pages:desc.Catalog.ckpt_page_count
     in
+    (* Command frames replay through a relation runtime: a private scratch
+       segment holding just this partition, wrapped in a [Relation.t]
+       carrying the catalogued schema — private so replay-time reads never
+       perturb the real segment table mid-recovery. *)
     let rel =
-      replay_relation r.cat ~part
-        ~partition_bytes:env.Recovery_env.partition_bytes partition !records
+      lazy
+        (match Catalog.relation_of_segment r.cat part.Addr.segment with
+        | None ->
+            Mrdb_util.Fatal.invariant ~mod_:"Restorer"
+              "command records for a segment no relation owns"
+        | Some d ->
+            let seg =
+              Segment.create ~id:part.Addr.segment
+                ~partition_bytes:env.Recovery_env.partition_bytes
+            in
+            Segment.install seg partition;
+            Relation.create ~id:d.Catalog.rel_id ~name:d.Catalog.rel_name
+              ~schema:d.Catalog.schema ~segment:seg)
     in
+    let applied = ref 0 in
     let max_seq =
-      apply_records ~partition ?rel ~watermark
+      apply_records ~partition ~rel ~watermark
         ~on_applied:(fun () ->
+          incr applied;
           Trace.incr env.Recovery_env.trace "recovery_records_applied")
-        !records
+        chunks
     in
     Segment.install (segment_of r part.Addr.segment) partition;
     Addr.Partition_table.replace r.seq part max_seq;
     Catalog.set_resident r.cat part true;
     Trace.incr env.Recovery_env.trace "partitions_recovered";
     Trace.incr env.Recovery_env.trace "restorer_partitions_restored";
-    (match env.Recovery_env.obs with
+    match env.Recovery_env.obs with
     | None -> ()
     | Some obs ->
         let dur_us = Mrdb_sim.Sim.now env.Recovery_env.sim -. t0 in
@@ -200,26 +208,17 @@ let recover_partition r part k =
         Mrdb_obs.Flight_recorder.partition_restored
           (Mrdb_obs.Obs.recorder obs)
           ~segment:part.Addr.segment ~partition:part.Addr.partition
-          ~records:(List.length !records));
-    k ()
+          ~records:!applied
   end
 
-let ensure_partition r part = recover_partition r part (fun () -> ())
-
-let partitions_of_segment r seg_id =
-  let cat_partitions rel =
-    List.filter
-      (fun (d : Catalog.partition_desc) -> d.Catalog.part.Addr.segment = seg_id)
-      rel.Catalog.partitions
-  in
-  match Catalog.relation_of_segment r.cat seg_id with
-  | Some rel -> cat_partitions rel
-  | None -> []
-
 let ensure_segment r seg_id =
-  List.iter
-    (fun (d : Catalog.partition_desc) -> ensure_partition r d.Catalog.part)
-    (partitions_of_segment r seg_id)
+  match Catalog.relation_of_segment r.cat seg_id with
+  | None -> ()
+  | Some rel ->
+      List.iter
+        (fun (d : Catalog.partition_desc) ->
+          if d.Catalog.part.Addr.segment = seg_id then ensure_partition r d.Catalog.part)
+        rel.Catalog.partitions
 
 (* -- the background sweep (§2.5) ------------------------------------------- *)
 
@@ -261,58 +260,20 @@ let restore_catalog env ~slt ~entries =
     Segment.create ~id:Catalog.catalog_segment_id
       ~partition_bytes:env.Recovery_env.partition_bytes
   in
-  let catalog_seq = ref [] in
-  List.iter
-    (fun (e : Wellknown.entry) ->
-      (* Inline per-partition restore (catalog partitions only): image ∥ log. *)
-      let image = ref None and image_done = ref false in
-      if e.Wellknown.ckpt_page < 0 then image_done := true
-      else
-        read_ckpt_track env ~first_page:e.Wellknown.ckpt_page ~pages:e.Wellknown.pages
-          (fun result ->
-            (let decoded =
-               match result with
-               | Ok data -> Ckpt_image.decode data
-               | Error e -> Error ("media read failed: " ^ e)
-             in
-             match decoded with
-            | Ok img -> image := Some img
-            | Error msg -> (
-                (* Checkpoint-disk media failure: fall back to the archive. *)
-                match env.Recovery_env.archiver with
-                | Some a -> (
-                    match Archive.latest_image a e.Wellknown.part with
-                    | Some img ->
-                        Trace.incr env.Recovery_env.trace "media_recoveries";
-                        image := Some img
-                    | None ->
-                        Mrdb_util.Fatal.invariant ~mod_:"Restorer"
-                          ("catalog image lost, not archived: " ^ msg))
-                | None ->
-                    Mrdb_util.Fatal.invariant ~mod_:"Restorer"
-                      ("corrupt catalog image: " ^ msg)));
-            image_done := true);
-      let records = ref [] and records_done = ref false in
-      Slt.records_for_recovery slt e.Wellknown.part (fun result ->
-          (match result with
-          | Ok rs -> records := rs
-          | Error msg -> Mrdb_util.Fatal.invariant ~mod_:"Restorer" ("catalog log: " ^ msg));
-          records_done := true);
-      Recovery_env.pump_until env (fun () -> !image_done && !records_done);
-      let partition, watermark =
-        match !image with
-        | Some img -> (Partition.of_snapshot img.Ckpt_image.snapshot, img.Ckpt_image.watermark)
-        | None ->
-            ( Partition.create ~size:env.Recovery_env.partition_bytes
-                ~segment:Catalog.catalog_segment_id
-                ~partition:e.Wellknown.part.Addr.partition,
-              0 )
-      in
-      let max_seq = apply_records ~partition ~watermark !records in
-      catalog_seq := (e.Wellknown.part, max_seq) :: !catalog_seq;
-      Segment.install cat_segment partition)
-    entries;
-  (cat_segment, !catalog_seq)
+  let catalog_seq =
+    List.fold_left
+      (fun acc (e : Wellknown.entry) ->
+        let part = e.Wellknown.part in
+        let partition, watermark, chunks =
+          fetch env ~slt ~part ~first_page:e.Wellknown.ckpt_page
+            ~pages:e.Wellknown.pages
+        in
+        let max_seq = apply_records ~partition ~watermark chunks in
+        Segment.install cat_segment partition;
+        (part, max_seq) :: acc)
+      [] entries
+  in
+  (cat_segment, catalog_seq)
 
 let drop_uncatalogued_bins ~slt ~cat =
   List.iter

@@ -28,34 +28,43 @@ val segment_of : t -> int -> Segment.t
 
 val apply_records :
   partition:Partition.t ->
-  ?rel:Relation.t ->
+  ?rel:Relation.t Lazy.t ->
   watermark:int ->
   ?on_applied:(unit -> unit) ->
-  Mrdb_wal.Log_record.t list ->
+  Mrdb_wal.Log_page.chunk list ->
   int
-(** The REDO kernel shared by every replay path: apply each record with
-    [seq > watermark] to the partition in stream order and return the
-    highest sequence seen (or [watermark] for an empty/filtered stream).
-    Physical records apply as slot operations; logical command records go
-    through {!Mrdb_logical.Replay} — against the relation layer when
-    [rel] is supplied (restart recovery builds one from the catalog
-    schema), else as schema-free partition-cell patches.  Reused by the
-    warm-standby apply path ({!Mrdb_replica}), which replays shipped log
-    records onto shadow partitions exactly as restart replay does onto
-    restored ones (no [rel]: a standby audits without catalog access).
-    [on_applied] fires once per record actually applied. *)
+(** The REDO kernel shared by every replay path: walk the framed records
+    in stream order, decode each frame with [seq > watermark] exactly once
+    and apply it to the partition; return the highest sequence seen (or
+    [watermark] for an empty/filtered stream).  Physical records apply as
+    slot operations; logical command records go through
+    {!Mrdb_logical.Replay} — against the relation layer when [rel] is
+    supplied (restart recovery; forced at the first command frame), else
+    as schema-free partition-cell patches.  Reused by the warm-standby
+    audit ({!Mrdb_replica}), which replays its own log pages onto rebuilt
+    partitions exactly as restart replay does (no [rel]: a standby audits
+    without catalog access).  [on_applied] fires once per record actually
+    applied. *)
+
+val partition_of_image :
+  part:Addr.partition -> bytes -> (Partition.t * int, string) result
+(** A partition and its sequence watermark from a checkpoint image held in
+    a buffer: CRC checked in place ({!Mrdb_ckpt.Ckpt_image.check}), the
+    image must belong to [part], and the partition is built with a single
+    copy out of the buffer.  [Error] on any bad image, including a
+    CRC-valid one whose snapshot header is corrupt.  The image half of the
+    restore fetch, shared with the standby audit. *)
 
 val ensure_partition : t -> Addr.partition -> unit
 (** Restore the partition if it is not memory-resident: checkpoint image
-    and log stream are fetched in parallel (different disks), records with
+    (one bounded retry, then the newest archived copy on media failure)
+    and log chain are fetched in parallel (different disks), records with
     [seq > watermark] replayed in original order.
     @raise Mrdb_util.Fatal.Invariant when the partition is not catalogued
     or its durable state is unreadable and unarchived. *)
 
 val ensure_segment : t -> int -> unit
 (** Restore every catalogued partition of a segment. *)
-
-val partitions_of_segment : t -> int -> Catalog.partition_desc list
 
 val resident_fraction : t -> float
 (** Fraction of catalogued partitions currently memory-resident. *)
@@ -67,23 +76,14 @@ val background_step : t -> bool
 val sweep : t -> unit
 (** Drain the background sweep. *)
 
-val read_ckpt_image :
-  Recovery_env.t ->
-  part:Addr.partition ->
-  Catalog.partition_desc ->
-  (Mrdb_ckpt.Ckpt_image.t option -> unit) ->
-  unit
-(** Asynchronously read a partition's checkpoint image, falling back to
-    the newest archived copy when the checkpoint disk cannot produce a
-    valid one.  [None] means the partition has never been checkpointed. *)
-
 val restore_catalog :
   Recovery_env.t ->
   slt:Mrdb_wal.Slt.t ->
   entries:Wellknown.entry list ->
   Segment.t * (Addr.partition * int) list
 (** Restart-time bootstrap: restore each catalog partition named by the
-    well-known area into a fresh catalog segment.  Returns the segment and
+    well-known area into a fresh catalog segment, through the same fetch
+    as {!ensure_partition}.  Returns the segment and
     each partition's recovered sequence watermark. *)
 
 val drop_uncatalogued_bins : slt:Mrdb_wal.Slt.t -> cat:Catalog.t -> unit

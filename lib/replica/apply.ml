@@ -48,10 +48,11 @@ let install_batch ~standby (b : Ship_log.batch) =
   Trace.incr trace "replica_batches_applied"
 
 (* Every in-window log page on the standby's own log disk, grouped by the
-   partition that owns it, records in original (ascending-LSN) order.  A
-   slot holding a different LSN's page (never shipped, or lapped) is
-   skipped — if its records mattered, the per-partition CRC will say so. *)
-let window_records standby =
+   partition that owns it as payload chunks in original (ascending-LSN)
+   order.  A slot holding a different LSN's page (never shipped, or
+   lapped) is skipped — if its records mattered, the per-partition CRC
+   will say so. *)
+let window_chunks standby =
   let ld = Db.log_disk standby in
   let page_bytes = Log_disk.page_bytes ld and dir_size = Log_disk.dir_size ld in
   let by_part = Hashtbl.create 32 in
@@ -62,69 +63,66 @@ let window_records standby =
     | Some image -> (
         match Log_page.parse ~page_bytes ~dir_size image with
         | Error _ -> ()
-        | Ok (header, records) ->
+        | Ok (header, { Log_page.pos; len; _ }) ->
             if header.Log_page.lsn = !lsn then
               let part = header.Log_page.part in
               let prev =
                 Option.value (Hashtbl.find_opt by_part part) ~default:[]
               in
-              Hashtbl.replace by_part part (List.rev_append records prev)));
+              (* Keep only the framed payload, not the whole page image:
+                 the window's pages are all held until the audit ends. *)
+              let chunk = { Log_page.buf = Bytes.sub image pos len; pos = 0; len } in
+              Hashtbl.replace by_part part (chunk :: prev)));
     lsn := Int64.add !lsn 1L
   done;
-  Hashtbl.iter (fun part recs -> Hashtbl.replace by_part part (List.rev recs)) by_part;
+  Hashtbl.filter_map_inplace (fun _ chunks -> Some (List.rev chunks)) by_part;
   by_part
 
 (* Rebuild one partition from the standby's own durable artifacts —
    checkpoint image (when one exists) plus the log records above its
    watermark, replayed through the same {!Mrdb_recovery.Restorer} REDO
-   kernel a restart uses.  [None] = the durable state cannot reproduce a
-   partition at all (missing/corrupt image). *)
+   kernel a restart uses.  The image goes through the restore fetch's
+   image half ({!Mrdb_recovery.Restorer.partition_of_image}) but is read
+   with untimed peeks: an audit must not move the standby's clock.
+   [None] = the durable state cannot reproduce the partition (missing,
+   corrupt or mismatched image, or a replay that blows an invariant). *)
 let rebuild ~standby ~by_part (c : Ship_log.part_check) =
+  let part = c.Ship_log.part in
   let base =
     if c.Ship_log.ckpt_page < 0 then
       Some
         ( Mrdb_storage.Partition.create
             ~size:(Db.config standby).Mrdb_core.Config.partition_bytes
-            ~segment:c.Ship_log.part.Mrdb_storage.Addr.segment
-            ~partition:c.Ship_log.part.Mrdb_storage.Addr.partition,
+            ~segment:part.Mrdb_storage.Addr.segment
+            ~partition:part.Mrdb_storage.Addr.partition,
           0 )
     else
-      let disk = Db.ckpt_disk standby in
-      let rec read_pages i acc =
-        if i >= c.Ship_log.ckpt_pages then Some (List.rev acc)
-        else
-          match Mrdb_hw.Disk.peek_page disk ~page:(c.Ship_log.ckpt_page + i) with
-          | None -> None
-          | Some p -> read_pages (i + 1) (p :: acc)
+      let pages =
+        List.init c.Ship_log.ckpt_pages (fun i ->
+            Mrdb_hw.Disk.peek_page (Db.ckpt_disk standby) ~page:(c.Ship_log.ckpt_page + i))
       in
-      match read_pages 0 [] with
-      | None -> None
-      | Some pages -> (
-          match Mrdb_ckpt.Ckpt_image.decode (Bytes.concat Bytes.empty pages) with
-          | Error _ -> None
-          | Ok img -> (
-              match Mrdb_storage.Partition.of_snapshot img.Mrdb_ckpt.Ckpt_image.snapshot with
-              | p -> Some (p, img.Mrdb_ckpt.Ckpt_image.watermark)
-              | exception Failure _ -> None))
+      if List.exists Option.is_none pages then None
+      else
+        Mrdb_recovery.Restorer.partition_of_image ~part
+          (Bytes.concat Bytes.empty (List.filter_map Fun.id pages))
+        |> Result.to_option
   in
   match base with
   | None -> None
   | Some (partition, watermark) -> (
-      let records =
-        Option.value (Hashtbl.find_opt by_part c.Ship_log.part) ~default:[]
-      in
+      let chunks = Option.value (Hashtbl.find_opt by_part part) ~default:[] in
       (* A replay that blows up (a record addressing a slot the base image
          cannot account for) is the strongest possible divergence signal:
          these artifacts do not compose.  Report it as such rather than
          letting the invariant escape — the re-seed is the repair. *)
-      match Mrdb_recovery.Restorer.apply_records ~partition ~watermark records with
+      match Mrdb_recovery.Restorer.apply_records ~partition ~watermark chunks with
       | _ -> Some partition
       | exception Mrdb_util.Fatal.Invariant _ -> None
       | exception Invalid_argument _ -> None)
 
 let audit ~standby checks =
   let trace = Db.trace standby in
-  let by_part = window_records standby in
+  let by_part = window_chunks standby in
   List.filter_map
     (fun (c : Ship_log.part_check) ->
       Trace.incr trace "replica_audit_partitions";

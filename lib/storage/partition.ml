@@ -216,10 +216,11 @@ let update_at t ~slot b =
 let snapshot t = Bytes.copy t.buf
 let unsafe_raw t = t.buf
 
-let of_snapshot b =
-  if Bytes.length b < header_bytes then
+let of_snapshot ?(pos = 0) ?len b =
+  let len = match len with Some l -> l | None -> Bytes.length b - pos in
+  if len < header_bytes then
     Fatal.invariant ~mod_:"Partition" "of_snapshot: too small";
-  let t = { buf = Bytes.copy b } in
+  let t = { buf = Bytes.sub b pos len } in
   if get t off_magic <> magic then
     Fatal.invariant ~mod_:"Partition" "of_snapshot: bad magic";
   let n = slot_count t in

@@ -98,9 +98,10 @@ val unsafe_raw : t -> bytes
     out of this under the checkpoint's relation lock, where no simulated
     time passes before the bytes are captured. *)
 
-val of_snapshot : bytes -> t
-(** Rebuild a partition from a checkpoint image.
-    @raise Failure on bad magic or corrupt header. *)
+val of_snapshot : ?pos:int -> ?len:int -> bytes -> t
+(** Rebuild a partition from the snapshot held in [len] bytes at [pos] of
+    [b] (default: all of [b]) — one copy, the partition's own buffer.
+    @raise Mrdb_util.Fatal.Invariant on bad magic or a corrupt header. *)
 
 val compact : t -> unit
 (** Force heap compaction (normally automatic). *)

@@ -59,7 +59,7 @@ val get_i64 : bytes -> int -> int64
 
 (** {2 Scratch-buffer varint helpers}
 
-    The zero-copy logging hot path ({!Mrdb_wal.Slb.append} and friends)
+    The zero-copy logging hot path ({!Mrdb_wal.Slb.Region.append} and friends)
     serializes records directly into reusable scratch buffers instead of
     going through an {!Enc}, so it needs positional varint primitives whose
     sizes can be computed up front. *)

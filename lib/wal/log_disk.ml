@@ -89,10 +89,10 @@ let read_page t ~lsn k =
         | Ok image -> (
             match Log_page.parse ~page_bytes:(page_bytes t) ~dir_size:(dir_size t) image with
             | Error e -> k (Error (Unreadable { lsn; reason = e }))
-            | Ok (header, records) ->
+            | Ok ((header, _) as page) ->
                 if header.Log_page.lsn <> lsn then
                   k (Error (Stale_slot { wanted = lsn; found = header.Log_page.lsn }))
-                else k (Ok (header, records))))
+                else k (Ok page)))
 
 let install_page t ~lsn image =
   if Bytes.length image <> page_bytes t then

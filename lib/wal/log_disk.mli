@@ -65,9 +65,9 @@ val set_tap : t -> (lsn:int64 -> bytes -> unit) -> unit
 
 val read_page :
   t -> lsn:int64 ->
-  ((Log_page.header * Log_record.t list, read_error) result -> unit) -> unit
-(** Read, checksum-verify (with mirror fallback) and decode the page at
-    [lsn]. *)
+  ((Log_page.header * Log_page.chunk, read_error) result -> unit) -> unit
+(** Read and checksum-verify (with mirror fallback) the page at [lsn]:
+    its header and its payload frames in place ({!Log_page.parse}). *)
 
 val install_page : t -> lsn:int64 -> bytes -> unit
 (** Untimed atomic page install at [lsn]'s window slot on every live

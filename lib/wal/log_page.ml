@@ -11,6 +11,8 @@ type header = {
   used : int;
 }
 
+type chunk = { buf : bytes; pos : int; len : int }
+
 (* Fixed header: u32 magic | i64 lsn | i64 seg | i64 pno | i64 prev |
    u32 nrecords | u32 used | u32 dir_len = 48 bytes, then dir_size × i64. *)
 let fixed_header = 48
@@ -22,9 +24,9 @@ let payload_capacity ~page_bytes ~dir_size =
 
 let prepare_into ~dir_size ~lsn ~(part : Addr.partition) ~prev_lsn ~dir ~used ~nrecords page =
   let page_bytes = Bytes.length page in
-  if Array.length dir > dir_size then Mrdb_util.Fatal.misuse "Log_page.build: directory too long";
+  if Array.length dir > dir_size then Mrdb_util.Fatal.misuse "Log_page.prepare_into: directory too long";
   if used > payload_capacity ~page_bytes ~dir_size then
-    Mrdb_util.Fatal.misuse "Log_page.build: payload too large";
+    Mrdb_util.Fatal.misuse "Log_page.prepare_into: payload too large";
   Bytes.fill page 0 page_bytes '\000';
   Mrdb_util.Codec.put_u32 page 0 magic;
   Mrdb_util.Codec.put_i64 page 4 lsn;
@@ -36,38 +38,25 @@ let prepare_into ~dir_size ~lsn ~(part : Addr.partition) ~prev_lsn ~dir ~used ~n
   Mrdb_util.Codec.put_u32 page 44 (Array.length dir);
   Array.iteri (fun i l -> Mrdb_util.Codec.put_i64 page (fixed_header + (8 * i)) l) dir
 
-let prepare ~page_bytes ~dir_size ~lsn ~(part : Addr.partition) ~prev_lsn ~dir ~used ~nrecords =
-  let page = Bytes.create page_bytes in
-  prepare_into ~dir_size ~lsn ~part ~prev_lsn ~dir ~used ~nrecords page;
-  page
-
 let finish page =
   let page_bytes = Bytes.length page in
   let crc = Mrdb_util.Checksum.crc32 page ~pos:0 ~len:(page_bytes - 4) in
   Bytes.set_int32_le page (page_bytes - 4) crc
 
-let build ~page_bytes ~dir_size ~lsn ~(part : Addr.partition) ~prev_lsn ~dir ~payload ~nrecords =
-  let page =
-    prepare ~page_bytes ~dir_size ~lsn ~part ~prev_lsn ~dir
-      ~used:(Bytes.length payload) ~nrecords
-  in
-  Bytes.blit payload 0 page (payload_off ~dir_size) (Bytes.length payload);
-  finish page;
-  page
-
+(* The one u16 frame loop of the WAL: SLB drains and materialization,
+   page parse and the restore apply all walk frames through here. *)
 let iter_frames b ~pos ~used ~f =
   let stop = pos + used in
   let p = ref pos in
-  while !p + 2 <= stop do
-    let len = Mrdb_util.Codec.get_u16 b !p in
-    f (Log_record.decode_at b ~pos:(!p + 2) ~len);
+  while !p < stop do
+    (* A lone trailing byte cannot hold a u16 header: it overruns too. *)
+    let len = if !p + 2 <= stop then Mrdb_util.Codec.get_u16 b !p else stop in
+    if !p + 2 + len > stop then
+      Mrdb_util.Fatal.invariantf ~mod_:"Log_page"
+        "frame at offset %d overruns the %d framed bytes" (!p - pos) used;
+    f b ~pos:(!p + 2) ~len;
     p := !p + 2 + len
   done
-
-let parse_frames b ~used =
-  let records = ref [] in
-  iter_frames b ~pos:0 ~used ~f:(fun r -> records := r :: !records);
-  List.rev !records
 
 (* Cheap integrity check (size + magic + CRC) for checksum-verified duplex
    reads: decides copy-acceptability without decoding records, so the
@@ -103,20 +92,13 @@ let parse ~page_bytes ~dir_size b =
         let dir =
           Array.init dir_len (fun i -> Mrdb_util.Codec.get_i64 b (fixed_header + (8 * i)))
         in
-        (* Decode the framed records in place from the page buffer — the
-           replay path never materializes a separate payload copy. *)
-        let records = ref [] in
-        match iter_frames b ~pos:(payload_off ~dir_size) ~used ~f:(fun r -> records := r :: !records) with
-        | () -> Ok ({ lsn; part; prev_lsn; dir; nrecords; used }, List.rev !records)
+        (* Check the frames tile [used] in place; the chunk points into
+           the image, so recovery never copies the payload out. *)
+        let pos = payload_off ~dir_size in
+        match iter_frames b ~pos ~used ~f:(fun _ ~pos:_ ~len:_ -> ()) with
+        | () -> Ok ({ lsn; part; prev_lsn; dir; nrecords; used }, { buf = b; pos; len = used })
         | exception Mrdb_util.Fatal.Invariant { mod_; what } ->
-            Error (Printf.sprintf "record decode: %s: %s" mod_ what)
+            Error (Printf.sprintf "frame walk: %s: %s" mod_ what)
       end
     end
   end
-
-let frame_record r =
-  let payload = Log_record.encode r in
-  let framed = Bytes.create (2 + Bytes.length payload) in
-  Mrdb_util.Codec.put_u16 framed 0 (Bytes.length payload);
-  Bytes.blit payload 0 framed 2 (Bytes.length payload);
-  framed

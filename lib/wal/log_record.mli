@@ -84,4 +84,3 @@ val peek_seq : bytes -> pos:int -> int
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val tag_to_string : tag -> string

@@ -80,7 +80,6 @@ type t = {
   mutable has_shadow : bool;
   inflight : (int * int64) option array;
   mutable last_seq : int;
-  mutable scratch : bytes; (* grow-on-demand append framing buffer *)
   mutable page_scratch : bytes; (* reusable seal-page image buffer *)
 }
 
@@ -167,7 +166,6 @@ let activate layout ~idx part =
       has_shadow = false;
       inflight = Array.make inflight_slots None;
       last_seq = 0;
-      scratch = Bytes.create 0;
       page_scratch = Bytes.create 0;
     }
   in
@@ -235,7 +233,6 @@ let load layout ~idx =
               else Some (block, Mrdb_hw.Stable_mem.get_i64 m ~off:(off + 4)));
         last_seq =
           Int64.to_int (Mrdb_hw.Stable_mem.get_i64 m ~off:(base + off_last_seq));
-        scratch = Bytes.create 0;
         page_scratch = Bytes.create 0;
       }
   end
@@ -244,20 +241,27 @@ let clear_slot layout ~idx =
   let base = Stable_layout.bin_info_off layout idx in
   Mrdb_hw.Stable_mem.put_i64 (Stable_layout.mem layout) ~off:(base + off_segment) 0L
 
+(* Pool blocks slot [idx] still owns after a crash — its live and shadow
+   buffers and its in-flight pages — read straight from the stable fields
+   so the page-pool allocator can be rebuilt before any bin is used. *)
+let owned_blocks layout ~idx =
+  let base = Stable_layout.bin_info_off layout idx in
+  let m = Stable_layout.mem layout in
+  let block off = Mrdb_hw.Stable_mem.get_u32 m ~off:(base + off) - 1 in
+  List.filter
+    (fun b -> b >= 0)
+    (block off_buf_block :: block off_shadow_buf_block
+    :: List.init inflight_slots (fun i -> block (off_inflight + (12 * i))))
+
 let idx t = t.idx
 let partition t = t.part
 let update_count t = t.update_count
 let first_lsn t = t.live.first_lsn
 let pages_written t = t.live.pages_written
 let buffered_records t = t.live.buf_nrecords
-let buffered_bytes t = t.live.buf_used
 let directory t = Array.copy t.live.dir
 let last_seq t = t.last_seq
 let has_shadow t = t.has_shadow
-
-let shadow_first_lsn t = t.shadow.first_lsn
-let shadow_directory t = Array.copy t.shadow.dir
-let shadow_buffered_records t = t.shadow.buf_nrecords
 
 let oldest_lsn t =
   if t.has_shadow && t.shadow.first_lsn >= 0L then t.shadow.first_lsn
@@ -292,38 +296,19 @@ let note_appended t ~frame ~seq =
   if seq > t.last_seq then t.last_seq <- seq;
   persist_append_meta t
 
-let append t record =
-  let size = Log_record.encoded_size record in
-  let frame = 2 + size in
-  if frame > payload_capacity t then
-    Mrdb_util.Fatal.misuse "Partition_bin.append: record exceeds page capacity";
-  ensure_buffer t;
-  if t.live.buf_used + frame > payload_capacity t then `Page_full
-  else begin
-    (* Frame into the bin's reusable scratch (grown on demand, so the
-       steady state allocates nothing) and land it with one write.
-       Records are staged at the payload offset inside the pool block so
-       that sealing composes the page image in place. *)
-    if Bytes.length t.scratch < frame then t.scratch <- Bytes.create frame;
-    Mrdb_util.Codec.put_u16 t.scratch 0 size;
-    ignore (Log_record.encode_into record t.scratch ~pos:2 : int);
-    Mrdb_hw.Stable_mem.write_sub (mem t) ~off:(buf_off t + t.live.buf_used)
-      t.scratch ~pos:0 ~len:frame;
-    note_appended t ~frame ~seq:record.Log_record.seq;
-    `Buffered
-  end
-
-let append_raw t buf ~pos ~len =
+let append t buf ~pos ~len =
   let frame = 2 + len in
   if frame > payload_capacity t then
-    Mrdb_util.Fatal.misuse "Partition_bin.append_raw: record exceeds page capacity";
+    Mrdb_util.Fatal.misuse "Partition_bin.append: record exceeds page capacity";
   ensure_buffer t;
   if t.live.buf_used + frame > payload_capacity t then `Page_full
   else begin
     (* The SLB stages chains with the same [u16 len | record] framing as
        the bin buffer, so the drain forwards the whole frame — header at
        [pos - 2] — with one stable-memory write and zero copies or
-       decodes in between. *)
+       decodes in between.  Frames are staged at the payload offset
+       inside the pool block so that sealing composes the page image in
+       place. *)
     Mrdb_hw.Stable_mem.write_sub (mem t) ~off:(buf_off t + t.live.buf_used)
       buf ~pos:(pos - 2) ~len:frame;
     note_appended t ~frame ~seq:(Log_record.peek_seq buf ~pos);
@@ -443,29 +428,13 @@ let discard_shadow t =
     persist t
   end
 
-let restore_cut t =
-  (* Checkpoint failed before installing: fold the live generation's
-     bookkeeping back is impossible in general (live may have its own
-     pages), so keep both generations; recovery replays shadow then live.
-     Only the update counter is restored so triggers keep firing. *)
-  if t.has_shadow then begin
-    t.update_count <-
-      t.update_count + t.shadow.pages_written + t.shadow.buf_nrecords;
-    persist t
-  end
-
-let read_buffer t chain =
-  if chain.buf_block < 0 || chain.buf_nrecords = 0 then []
-  else begin
-    let payload =
-      Mrdb_hw.Stable_mem.read (mem t) ~off:(chain_buf_off t chain)
-        ~len:chain.buf_used
-    in
-    Log_page.parse_frames payload ~used:chain.buf_used
-  end
-
-let live_buffer_records t = read_buffer t t.live
-let shadow_buffer_records t = if t.has_shadow then read_buffer t t.shadow else []
+let buffer t ~shadow =
+  let c = if shadow then t.shadow else t.live in
+  if (shadow && not t.has_shadow) || c.buf_block < 0 || c.buf_nrecords = 0 then None
+  else
+    let len = c.buf_used in
+    let buf = Mrdb_hw.Stable_mem.read (mem t) ~off:(chain_buf_off t c) ~len in
+    Some { Log_page.buf; pos = 0; len }
 
 let live_chain_spec t = (t.live.first_lsn, Array.to_list t.live.dir)
 
@@ -482,10 +451,3 @@ let reset_after_checkpoint t =
   copy_chain ~src:(empty_chain ()) ~dst:t.live;
   discard_shadow t;
   persist t
-
-let pp ppf t =
-  Format.fprintf ppf
-    "bin %d part=%a updates=%d pages=%d first_lsn=%Ld buffered=%d inflight=%d%s"
-    t.idx Addr.pp_partition t.part t.update_count t.live.pages_written
-    t.live.first_lsn t.live.buf_nrecords (inflight_count t)
-    (if t.has_shadow then " +shadow" else "")

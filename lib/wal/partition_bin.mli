@@ -30,6 +30,11 @@ val load : Stable_layout.t -> idx:int -> t option
 val clear_slot : Stable_layout.t -> idx:int -> unit
 (** Mark slot unused (partition de-allocation). *)
 
+val owned_blocks : Stable_layout.t -> idx:int -> int list
+(** Page-pool blocks slot [idx] still owns — its live and shadow buffers
+    and its in-flight pages — read from the stable slot fields: the
+    crash-time input to the page-pool allocator rebuild. *)
+
 val idx : t -> int
 val partition : t -> Addr.partition
 
@@ -41,7 +46,6 @@ val first_lsn : t -> int64
 
 val pages_written : t -> int
 val buffered_records : t -> int
-val buffered_bytes : t -> int
 val directory : t -> int64 array
 (** Current (incomplete) span of the live generation, oldest first. *)
 
@@ -71,22 +75,15 @@ val begin_cut : t -> [ `Cut | `Nothing_to_cut | `Shadow_busy ]
     filter. *)
 
 val discard_shadow : t -> unit
-val restore_cut : t -> unit
-(** Give up on a checkpoint after a cut: keep both generations for replay
-    and restore the update-count pressure. *)
 
 val has_shadow : t -> bool
 val oldest_lsn : t -> int64
 (** Oldest log page across both generations (-1 when none) — what the log
     window's age trigger must track. *)
 
-val shadow_first_lsn : t -> int64
-val shadow_directory : t -> int64 array
-val shadow_buffered_records : t -> int
-
-val live_buffer_records : t -> Log_record.t list
-val shadow_buffer_records : t -> Log_record.t list
-(** Decode the staged frames of each generation's buffer. *)
+val buffer : t -> shadow:bool -> Log_page.chunk option
+(** The staged frames of one generation's buffer, copied out of stable
+    memory; [None] when that generation has nothing buffered. *)
 
 val live_chain_spec : t -> int64 * int64 list
 (** (first LSN, current span) of the live generation — the inputs of the
@@ -100,19 +97,15 @@ exception Pool_exhausted
 (** Page pool or in-flight slots exhausted; the caller must let disk writes
     complete (backpressure on the logging pipeline). *)
 
-val append : t -> Log_record.t -> [ `Buffered | `Page_full ]
-(** Copy a record into the page buffer (allocating one from the pool on
-    first use).  [`Page_full] means the record did NOT fit — the caller
-    must {!seal_page} and retry.
-    @raise Pool_exhausted when the page pool is empty. *)
-
-val append_raw : t -> bytes -> pos:int -> len:int -> [ `Buffered | `Page_full ]
-(** Zero-copy {!append}: the [len]-byte encoded record sits at [pos] in a
+val append : t -> bytes -> pos:int -> len:int -> [ `Buffered | `Page_full ]
+(** Forward one encoded record into the page buffer (allocating one from
+    the pool on first use): the [len]-byte record sits at [pos] in a
     caller-owned buffer with its u16 frame header at [pos - 2] — exactly
-    what {!Slb.drain_raw} hands out, since SLB chains and bin buffers use
-    identical framing.  The whole frame is forwarded with one stable-memory
+    what {!Slb.drain} hands out, since SLB chains and bin buffers use
+    identical framing.  The whole frame lands with one stable-memory
     write; the record is never decoded (the sequence watermark comes from
-    {!Log_record.peek_seq}).
+    {!Log_record.peek_seq}).  [`Page_full] means the frame did NOT fit —
+    the caller must {!seal_page} and retry.
     @raise Pool_exhausted when the page pool is empty. *)
 
 val seal_page : t -> log_disk:Log_disk.t -> (int64 * bytes) option
@@ -140,5 +133,3 @@ val reset_after_checkpoint : t -> unit
     information is no longer needed for memory recovery": zero the update
     count, forget both generations' chains and directories, release the
     buffers.  In-flight writes are left to complete on their own. *)
-
-val pp : Format.formatter -> t -> unit

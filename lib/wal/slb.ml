@@ -16,7 +16,6 @@ type chain = { mutable first : int; mutable last : int }
 type stage = {
   mutable sb : bytes;
   mutable sused : int;
-  mutable srecords : int;
 }
 
 type region = {
@@ -25,7 +24,7 @@ type region = {
   blocks : Mrdb_hw.Stable_mem.Blocks.alloc;
   chains : (int, chain) Hashtbl.t; (* txn -> uncommitted chain *)
   scratch : bytes; (* append framing buffer: one frame composed, one write *)
-  rscratch : bytes; (* drain read buffer: one block payload decoded in place *)
+  rscratch : bytes; (* drain read buffer: one block payload walked in place *)
   recorder : Mrdb_obs.Flight_recorder.t option ref; (* shared with t *)
   stages : (int, stage) Hashtbl.t; (* txn -> volatile staged records *)
   mutable stage_pool : stage list;
@@ -85,7 +84,6 @@ let region t i =
 module Region = struct
   type t = region
 
-  let id r = r.owner
   let mem (r : t) = Stable_layout.mem r.layout
   let block_off r i = Mrdb_hw.Stable_mem.Blocks.offset_of_block r.blocks i
   let block_bytes r = Mrdb_hw.Stable_mem.Blocks.block_bytes r.blocks
@@ -113,8 +111,6 @@ module Region = struct
 
   let ring_seq (r : t) i = Mrdb_hw.Stable_mem.get_u32 (mem r) ~off:(ring_off r i + 8)
 
-  let ring_get (r : t) i = (ring_txn r i, ring_first r i, ring_seq r i)
-
   let ring_put (r : t) i ~txn ~first ~seq =
     let off = ring_off r i in
     Mrdb_hw.Stable_mem.put_u32 (mem r) ~off txn;
@@ -130,18 +126,35 @@ module Region = struct
         set_used r b 0;
         b
 
-  let append r ~txn_id record =
-    let size = Log_record.encoded_size record in
-    let frame = 2 + size in
+  (* The frame (u16 length + record) a record occupies, refused up front
+     when it could never fit a block. *)
+  let frame_size r ~what record =
+    let frame = 2 + Log_record.encoded_size record in
     if frame > block_bytes r - payload_off then
-      Mrdb_util.Fatal.misuse "Slb.append: record exceeds block size";
-    (* Compose the whole frame (u16 length + record) in the reusable scratch,
-       then issue exactly one stable-memory write — no per-record buffers. *)
-    Mrdb_util.Codec.put_u16 r.scratch 0 size;
-    let stop = Log_record.encode_into record r.scratch ~pos:2 in
-    if stop <> frame then
+      Mrdb_util.Fatal.misuse ("Slb.Region." ^ what ^ ": record exceeds block size");
+    frame
+
+  (* Compose the frame at [pos] of [b]: the one place a REDO record is
+     encoded on its way to the log. *)
+  let put_frame record b ~pos ~frame =
+    Mrdb_util.Codec.put_u16 b pos (frame - 2);
+    let stop = Log_record.encode_into record b ~pos:(pos + 2) in
+    if stop <> pos + frame then
       Mrdb_util.Fatal.invariantf ~mod_:"Slb"
-        "append: encoded %d bytes but encoded_size said %d" (stop - 2) size;
+        "encoded %d bytes but encoded_size said %d" (stop - pos - 2) (frame - 2)
+
+  let note_append (r : t) ~txn_id ~frame =
+    match !(r.recorder) with
+    | None -> ()
+    | Some fr ->
+        Mrdb_obs.Flight_recorder.slb_append fr ~txn:txn_id ~bytes:frame
+          ~exec:r.owner
+
+  let append r ~txn_id record =
+    let frame = frame_size r ~what:"append" record in
+    (* Compose the whole frame in the reusable scratch, then issue exactly
+       one stable-memory write — no per-record buffers. *)
+    put_frame record r.scratch ~pos:0 ~frame;
     let chain =
       (* find + Not_found, not find_opt: the per-append [Some] box is real
          money at this call frequency. *)
@@ -166,19 +179,12 @@ module Region = struct
     let off = block_off r target + payload_off + used in
     Mrdb_hw.Stable_mem.write_sub (mem r) ~off r.scratch ~pos:0 ~len:frame;
     set_used r target (used + frame);
-    match !(r.recorder) with
-    | None -> ()
-    | Some fr ->
-        Mrdb_obs.Flight_recorder.slb_append fr ~txn:txn_id ~bytes:frame
-          ~exec:r.owner
+    note_append r ~txn_id ~frame
 
   (* -- group-commit staging ------------------------------------------------ *)
 
   let stage_append r ~txn_id record =
-    let size = Log_record.encoded_size record in
-    let frame = 2 + size in
-    if frame > block_bytes r - payload_off then
-      Mrdb_util.Fatal.misuse "Slb.stage_append: record exceeds block size";
+    let frame = frame_size r ~what:"stage_append" record in
     let st =
       match Hashtbl.find r.stages txn_id with
       | st -> st
@@ -188,9 +194,8 @@ module Region = struct
             | st :: rest ->
                 r.stage_pool <- rest;
                 st.sused <- 0;
-                st.srecords <- 0;
                 st
-            | [] -> { sb = Bytes.create 256; sused = 0; srecords = 0 }
+            | [] -> { sb = Bytes.create 256; sused = 0 }
           in
           Hashtbl.add r.stages txn_id st;
           st
@@ -204,19 +209,9 @@ module Region = struct
       Bytes.blit st.sb 0 nb 0 st.sused;
       st.sb <- nb
     end;
-    Mrdb_util.Codec.put_u16 st.sb st.sused size;
-    let stop = Log_record.encode_into record st.sb ~pos:(st.sused + 2) in
-    if stop <> st.sused + frame then
-      Mrdb_util.Fatal.invariantf ~mod_:"Slb"
-        "stage_append: encoded %d bytes but encoded_size said %d"
-        (stop - st.sused - 2) size;
+    put_frame record st.sb ~pos:st.sused ~frame;
     st.sused <- st.sused + frame;
-    st.srecords <- st.srecords + 1;
-    match !(r.recorder) with
-    | None -> ()
-    | Some fr ->
-        Mrdb_obs.Flight_recorder.slb_append fr ~txn:txn_id ~bytes:frame
-          ~exec:r.owner
+    note_append r ~txn_id ~frame
 
   let stage_discard r ~txn_id =
     match Hashtbl.find_opt r.stages txn_id with
@@ -246,18 +241,19 @@ module Region = struct
      the region's batch buffer (allocating the blocks now, writing nothing
      to stable memory yet) and register the chain as uncommitted.  The
      caller must run [flush_batch] before committing the chain — the ring
-     entry is the commit point and must not precede the block contents. *)
+     entry is the commit point and must not precede the block contents.
+     On [Slb_full] partway through, this call's blocks go back to the
+     allocator, the batch rewinds and the stage stays put, so the chain
+     can be materialized again once blocks are freed. *)
   let materialize r ~txn_id =
     match Hashtbl.find r.stages txn_id with
     | exception Not_found -> () (* read-only transaction: nothing staged *)
     | st ->
-        Hashtbl.remove r.stages txn_id;
         let bb = block_bytes r in
+        let batch0 = r.batch_n in
         let first = ref (-1) and last_slot = ref (-1) and last_b = ref (-1) in
         let cur_used = ref 0 in
-        let pos = ref 0 in
-        while !pos < st.sused do
-          let len = Mrdb_util.Codec.get_u16 st.sb !pos in
+        let place buf ~pos ~len =
           let frame = 2 + len in
           if !last_slot < 0 || payload_off + !cur_used + frame > bb then begin
             let b =
@@ -284,13 +280,21 @@ module Region = struct
             last_b := b;
             cur_used := 0
           end;
-          Bytes.blit st.sb !pos r.batch
+          Bytes.blit buf (pos - 2) r.batch
             ((!last_slot * bb) + payload_off + !cur_used)
             frame;
-          cur_used := !cur_used + frame;
-          pos := !pos + frame
-        done;
+          cur_used := !cur_used + frame
+        in
+        (match Log_page.iter_frames st.sb ~pos:0 ~used:st.sused ~f:place with
+        | () -> ()
+        | exception Slb_full ->
+            for slot = batch0 to r.batch_n - 1 do
+              Mrdb_hw.Stable_mem.Blocks.free r.blocks r.batch_ids.(slot)
+            done;
+            r.batch_n <- batch0;
+            raise Slb_full);
         Mrdb_util.Codec.put_u32 r.batch ((!last_slot * bb) + hdr_used) !cur_used;
+        Hashtbl.remove r.stages txn_id;
         Hashtbl.replace r.chains txn_id { first = !first; last = !last_b };
         r.stage_pool <- st :: r.stage_pool
 
@@ -317,46 +321,20 @@ module Region = struct
     r.batch_n <- 0;
     !writes
 
-  let staged_records_of r ~txn_id =
-    match Hashtbl.find_opt r.stages txn_id with
-    | None -> []
-    | Some st ->
-        let acc = ref [] and pos = ref 0 in
-        while !pos < st.sused do
-          let len = Mrdb_util.Codec.get_u16 st.sb !pos in
-          acc := Log_record.decode_at st.sb ~pos:(!pos + 2) ~len :: !acc;
-          pos := !pos + 2 + len
-        done;
-        List.rev !acc
-
-  let iter_chain_raw r first ~f =
+  (* One block-sized read into the shared scratch per block, then each
+     frame handed to [f] in place — no per-record decode, no per-payload
+     copies.  The u16 frame header always precedes the payload at
+     [pos - 2], which lets consumers forward the whole frame verbatim. *)
+  let iter_chain r first ~f =
     let b = ref first in
     while !b >= 0 do
       let used = get_used r !b in
-      (* One block-sized read into the shared scratch, then hand each frame
-         to [f] in place — no per-record decode, no per-payload copies.
-         The u16 frame header always precedes the payload at [pos - 2],
-         which lets consumers forward the whole frame verbatim. *)
       Mrdb_hw.Stable_mem.blit_out (mem r)
         ~off:(block_off r !b + payload_off)
         r.rscratch ~pos:0 ~len:used;
-      let pos = ref 0 in
-      while !pos < used do
-        let len = Mrdb_util.Codec.get_u16 r.rscratch !pos in
-        f r.rscratch ~pos:(!pos + 2) ~len;
-        pos := !pos + 2 + len
-      done;
+      Log_page.iter_frames r.rscratch ~pos:0 ~used ~f;
       b := get_next r !b
     done
-
-  let iter_chain r first ~f =
-    iter_chain_raw r first ~f:(fun buf ~pos ~len ->
-        f (Log_record.decode_at buf ~pos ~len))
-
-  let decode_chain r first =
-    let records = ref [] in
-    iter_chain r first ~f:(fun rec_ -> records := rec_ :: !records);
-    List.rev !records
 
   let free_chain r first =
     let b = ref first in
@@ -400,11 +378,6 @@ module Region = struct
         free_chain r chain.first;
         Hashtbl.remove r.chains txn_id
 
-  let records_of r ~txn_id =
-    match Hashtbl.find_opt r.chains txn_id with
-    | None -> staged_records_of r ~txn_id
-    | Some chain -> decode_chain r chain.first
-
   let pending_committed (r : t) =
     Stable_layout.committed_tail r.layout ~region:r.owner
     - Stable_layout.committed_head r.layout ~region:r.owner
@@ -420,43 +393,22 @@ module Region = struct
     let tail = Stable_layout.committed_tail r.layout ~region:r.owner in
     if head >= tail then -1 else ring_seq r head
 
-  let drain_one_raw (r : t) ~f =
+  let drain_one (r : t) ~f =
     let head = Stable_layout.committed_head r.layout ~region:r.owner in
     let tail = Stable_layout.committed_tail r.layout ~region:r.owner in
     if head >= tail then false
     else begin
       let txn_id = ring_txn r head in
       let first = ring_first r head in
-      iter_chain_raw r first ~f:(fun buf ~pos ~len -> f ~txn_id buf ~pos ~len);
+      iter_chain r first ~f:(fun buf ~pos ~len -> f ~txn_id buf ~pos ~len);
       free_chain r first;
       Stable_layout.set_committed_head r.layout ~region:r.owner (head + 1);
       true
     end
-
-  let drain_one (r : t) ~f =
-    drain_one_raw r ~f:(fun ~txn_id buf ~pos ~len ->
-        f ~txn_id (Log_record.decode_at buf ~pos ~len))
 end
-
-(* Single-region compatibility surface: system transactions, the boot
-   path and the pre-striping tests all log through region 0. *)
-let append t ~txn_id record = Region.append t.regions.(0) ~txn_id record
-let commit t ~txn_id = Region.commit t.regions.(0) ~txn_id
-let iter_chain t first ~f = Region.iter_chain t.regions.(0) first ~f
 
 let abort t ~txn_id =
   Array.iter (fun r -> Region.abort r ~txn_id) t.regions
-
-let records_of t ~txn_id =
-  (* A transaction's chain lives in exactly one region (its executor's). *)
-  let rec find i =
-    if i >= Array.length t.regions then []
-    else
-      match Region.records_of t.regions.(i) ~txn_id with
-      | [] -> find (i + 1)
-      | records -> records
-  in
-  find 0
 
 let pending_committed t =
   Array.fold_left (fun n r -> n + Region.pending_committed r) 0 t.regions
@@ -484,17 +436,12 @@ let next_region_to_drain t =
   done;
   !best
 
-let drain_one_raw t ~f =
-  match next_region_to_drain t with
-  | -1 -> false
-  | i -> Region.drain_one_raw t.regions.(i) ~f
-
 let drain_one t ~f =
   match next_region_to_drain t with
   | -1 -> false
   | i -> Region.drain_one t.regions.(i) ~f
 
-let drain_raw t ~f =
+let drain t ~f =
   (* Draining can suspend on log-disk backpressure, during which the event
      loop may run another transaction's commit — whose own drain call must
      NOT process the ring concurrently (it would re-read the entry the
@@ -508,15 +455,11 @@ let drain_raw t ~f =
       ~finally:(fun () -> t.draining <- false)
       (fun () ->
         let n = ref 0 in
-        while drain_one_raw t ~f do
+        while drain_one t ~f do
           incr n
         done;
         !n)
   end
-
-let drain t ~f =
-  drain_raw t ~f:(fun ~txn_id buf ~pos ~len ->
-      f ~txn_id (Log_record.decode_at buf ~pos ~len))
 
 let recover layout =
   let t = create layout in
@@ -529,8 +472,7 @@ let recover layout =
       let head = Stable_layout.committed_head layout ~region:r.owner in
       let tail = Stable_layout.committed_tail layout ~region:r.owner in
       for i = head to tail - 1 do
-        let _, first, _ = Region.ring_get r i in
-        let b = ref first in
+        let b = ref (Region.ring_first r i) in
         while !b >= 0 do
           live := !b :: !live;
           b := Region.get_next r !b

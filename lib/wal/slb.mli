@@ -21,7 +21,9 @@
     order; appending that ring entry {e is} the commit point ("transactions
     can commit instantly — they do not need to wait until the REDO log
     records are flushed to disk").  The recovery CPU later {!drain}s
-    committed chains into the Stable Log Tail and frees their blocks.
+    committed chains into the Stable Log Tail and frees their blocks,
+    handing out the encoded frames themselves — nothing on this side ever
+    decodes a record.
 
     After a crash, {!recover} rebuilds each region's block allocator from
     its committed ring stripe (uncommitted chains are garbage by
@@ -54,8 +56,6 @@ val regions : t -> int
 module Region : sig
   type t
 
-  val id : t -> int
-
   val append : t -> txn_id:int -> Log_record.t -> unit
   (** Add a REDO record to the transaction's (uncommitted) chain in this
       region.  The frame (u16 length + record) is composed in a reusable
@@ -76,7 +76,9 @@ module Region : sig
       register the chain as uncommitted.  Writes nothing to stable memory:
       call {!flush_batch} before {!commit}ing any materialized chain.
       No-op for transactions with nothing staged.
-      @raise Slb_full when the region has no free block. *)
+      @raise Slb_full when the region runs out of blocks partway; this
+      call's blocks are then freed again and the stage is kept, so the
+      chain can be materialized once blocks are available. *)
 
   val flush_batch : t -> int
   (** Write every materialized block image to stable memory, coalescing
@@ -95,42 +97,18 @@ module Region : sig
 
   val abort : t -> txn_id:int -> unit
   (** Discard the transaction's chain and free its blocks. *)
-
-  val records_of : t -> txn_id:int -> Log_record.t list
-  val pending_committed : t -> int
-  val uncommitted_count : t -> int
-  val blocks_free : t -> int
-
-  val iter_chain : t -> int -> f:(Log_record.t -> unit) -> unit
-
-  val drain_one : t -> f:(txn_id:int -> Log_record.t -> unit) -> bool
-  (** Drain this region's oldest committed chain regardless of the global
-      merge order — use {!Slb.drain} for the merged stream. *)
 end
 
 val region : t -> int -> Region.t
 (** The region owned by executor [i].
     @raise Invalid_argument when out of range. *)
 
-(** {2 Single-region surface}
+(** {2 Whole-buffer queries}
 
-    Region-0 shims: system transactions, the boot path and the
-    pre-striping tests log through region 0.  The whole-buffer queries
-    ([pending_committed], [uncommitted_count], [blocks_free],
-    [records_of], [abort]) aggregate or search across all regions. *)
-
-val append : t -> txn_id:int -> Log_record.t -> unit
-(** Region-0 {!Region.append}. *)
-
-val commit : t -> txn_id:int -> unit
-(** Region-0 {!Region.commit}. *)
+    These aggregate or search across all regions. *)
 
 val abort : t -> txn_id:int -> unit
 (** Discard the transaction's chain whichever region holds it. *)
-
-val records_of : t -> txn_id:int -> Log_record.t list
-(** Current (uncommitted) chain contents, oldest first, searching all
-    regions — test hook. *)
 
 val pending_committed : t -> int
 (** Committed transactions not yet drained, all regions. *)
@@ -138,13 +116,7 @@ val pending_committed : t -> int
 val uncommitted_count : t -> int
 val blocks_free : t -> int
 
-val iter_chain : t -> int -> f:(Log_record.t -> unit) -> unit
-(** Region-0 {!Region.iter_chain}.  The read buffer is per region: chains
-    of one region must not be iterated concurrently (drains already
-    exclude each other via the reentrancy guard, and {!records_of} is a
-    test hook used outside drains). *)
-
-val drain_raw : t -> f:(txn_id:int -> bytes -> pos:int -> len:int -> unit) -> int
+val drain : t -> f:(txn_id:int -> bytes -> pos:int -> len:int -> unit) -> int
 (** Process every pending committed chain across all regions in global
     commit-sequence order: repeatedly pick the region whose oldest
     undrained entry has the smallest sequence, stream its record frames
@@ -154,7 +126,7 @@ val drain_raw : t -> f:(txn_id:int -> bytes -> pos:int -> len:int -> unit) -> in
     [f] receives each encoded record in place inside a per-region read
     buffer — valid only for the duration of the call, with the u16 frame
     header guaranteed at [pos - 2] (so a consumer may forward the whole
-    [len + 2]-byte frame verbatim, e.g. {!Partition_bin.append_raw}).
+    [len + 2]-byte frame verbatim, e.g. {!Partition_bin.append}).
     Nothing is decoded and nothing is allocated per record: this is the
     zero-copy drain path ({!Log_record.peek_bin_index} and [peek_seq]
     extract routing fields without materializing records).
@@ -162,10 +134,3 @@ val drain_raw : t -> f:(txn_id:int -> bytes -> pos:int -> len:int -> unit) -> in
     Reentrant calls (possible when [f] suspends on log-disk backpressure
     and the event loop runs another commit) return 0 immediately; the
     outer drain picks up anything committed meanwhile. *)
-
-val drain : t -> f:(txn_id:int -> Log_record.t -> unit) -> int
-(** {!drain_raw} with each frame decoded into a {!Log_record.t} —
-    convenience for tests and low-rate callers. *)
-
-val drain_one : t -> f:(txn_id:int -> Log_record.t -> unit) -> bool
-(** Drain the globally-oldest committed chain; false when none pending. *)

@@ -19,7 +19,7 @@ type t = {
   mutable recorder : Mrdb_obs.Flight_recorder.t option;
 }
 
-let make ~layout ~log_disk ?(n_update = 1000) ?age_grace_pages
+let create ~layout ~log_disk ?(n_update = 1000) ?age_grace_pages
     ~on_checkpoint_request () =
   let cfg = Stable_layout.config layout in
   let age_grace_pages =
@@ -43,12 +43,8 @@ let make ~layout ~log_disk ?(n_update = 1000) ?age_grace_pages
 
 let set_recorder t recorder = t.recorder <- recorder
 
-let create ~layout ~log_disk ?n_update ?age_grace_pages ~on_checkpoint_request () =
-  make ~layout ~log_disk ?n_update ?age_grace_pages ~on_checkpoint_request ()
-
 let layout t = t.layout
 let log_disk t = t.log_disk
-let n_update t = t.n_update
 
 let push_first_lsn t bin =
   let lsn = Partition_bin.oldest_lsn bin in
@@ -57,7 +53,7 @@ let push_first_lsn t bin =
       (Partition_bin.partition bin)
 
 let recover ~layout ~log_disk ?n_update ?age_grace_pages ~on_checkpoint_request () =
-  let t = make ~layout ~log_disk ?n_update ?age_grace_pages ~on_checkpoint_request () in
+  let t = create ~layout ~log_disk ?n_update ?age_grace_pages ~on_checkpoint_request () in
   let used = Stable_layout.bin_count_used layout in
   let live_pool_blocks = ref [] in
   for idx = 0 to used - 1 do
@@ -67,18 +63,8 @@ let recover ~layout ~log_disk ?n_update ?age_grace_pages ~on_checkpoint_request 
         Addr.Partition_table.replace t.bins_by_part (Partition_bin.partition bin) bin;
         t.bins_by_idx.(idx) <- Some bin;
         push_first_lsn t bin;
-        (* Blocks still owned by this bin: its live and shadow buffers and
-           its in-flight pages. *)
-        let base = Stable_layout.bin_info_off layout idx in
-        let m = Stable_layout.mem layout in
-        let buf_block = Mrdb_hw.Stable_mem.get_u32 m ~off:(base + 40) - 1 in
-        if buf_block >= 0 then live_pool_blocks := buf_block :: !live_pool_blocks;
-        let shadow_buf = Mrdb_hw.Stable_mem.get_u32 m ~off:(base + 132) - 1 in
-        if shadow_buf >= 0 then live_pool_blocks := shadow_buf :: !live_pool_blocks;
-        for i = 0 to 3 do
-          let block = Mrdb_hw.Stable_mem.get_u32 m ~off:(base + 52 + (12 * i)) - 1 in
-          if block >= 0 then live_pool_blocks := block :: !live_pool_blocks
-        done
+        live_pool_blocks :=
+          Partition_bin.owned_blocks layout ~idx @ !live_pool_blocks
   done;
   Mrdb_hw.Stable_mem.Blocks.rebuild_after_crash (Stable_layout.page_pool layout)
     ~live:!live_pool_blocks;
@@ -203,57 +189,25 @@ let seal_and_write t bin =
       if not had_pages then push_first_lsn t bin;
       check_age_triggers t
 
-let accept t record =
-  let bin =
-    match bin_of_index t record.Log_record.bin_index with
-    | Some bin -> bin
-    | None ->
-        Mrdb_util.Fatal.invariantf ~mod_:"Slt" "accept: record for unknown bin %d"
-          record.Log_record.bin_index
-  in
-  let rec append () =
-    match Partition_bin.append bin record with
-    | `Buffered -> ()
-    | `Page_full ->
-        seal_and_write t bin;
-        (match Partition_bin.append bin record with
-        | `Buffered -> ()
-        | `Page_full ->
-            raise
-              (Record_too_large
-                 {
-                   partition = Partition_bin.partition bin;
-                   bytes = Log_record.encoded_size record;
-                 }))
-    | exception Partition_bin.Pool_exhausted ->
-        let sim = Log_disk.sim t.log_disk in
-        if Mrdb_sim.Sim.step sim then append ()
-        else raise Partition_bin.Pool_exhausted
-  in
-  append ();
-  if Partition_bin.update_count bin >= t.n_update then
-    request_checkpoint t (Partition_bin.partition bin) Update_count
-
-let accept_raw t buf ~pos ~len =
-  (* Zero-copy sibling of {!accept}: routes the encoded frame straight
-     from the SLB drain buffer into the partition bin.  The bin index is
-     peeked out of the frame without decoding; the frame stays valid
-     across the backpressure waits below because reentrant drains are
-     excluded by the SLB guard and commits use a different scratch. *)
+let accept t buf ~pos ~len =
+  (* Routes the encoded frame straight from the SLB drain buffer into the
+     partition bin.  The bin index is peeked out of the frame without
+     decoding; the frame stays valid across the backpressure waits below
+     because reentrant drains are excluded by the SLB guard and commits
+     use a different scratch. *)
   let bin =
     let idx = Log_record.peek_bin_index buf ~pos in
     match bin_of_index t idx with
     | Some bin -> bin
     | None ->
-        Mrdb_util.Fatal.invariantf ~mod_:"Slt" "accept_raw: record for unknown bin %d"
-          idx
+        Mrdb_util.Fatal.invariantf ~mod_:"Slt" "accept: record for unknown bin %d" idx
   in
   let rec append () =
-    match Partition_bin.append_raw bin buf ~pos ~len with
+    match Partition_bin.append bin buf ~pos ~len with
     | `Buffered -> ()
     | `Page_full ->
         seal_and_write t bin;
-        (match Partition_bin.append_raw bin buf ~pos ~len with
+        (match Partition_bin.append bin buf ~pos ~len with
         | `Buffered -> ()
         | `Page_full ->
             raise
@@ -267,8 +221,6 @@ let accept_raw t buf ~pos ~len =
   append ();
   if Partition_bin.update_count bin >= t.n_update then
     request_checkpoint t (Partition_bin.partition bin) Update_count
-
-let accept_all t records = List.iter (accept t) records
 
 let flush_partition t part =
   match find_bin t part with
@@ -303,19 +255,17 @@ let pending_page_writes t = t.pending_writes
 
 let read_lsn t bin lsn k =
   match Partition_bin.read_inflight bin ~lsn with
-  | Some image -> (
+  | Some image ->
       let cfg = Stable_layout.config t.layout in
-      match
-        Log_page.parse ~page_bytes:cfg.Stable_layout.log_page_bytes
-          ~dir_size:cfg.Stable_layout.dir_size image
-      with
-      | Ok (header, records) -> k (Ok (header, records))
-      | Error e ->
-          k (Error (Log_disk.Unreadable { lsn; reason = "inflight image: " ^ e })))
+      Log_page.parse ~page_bytes:cfg.Stable_layout.log_page_bytes
+        ~dir_size:cfg.Stable_layout.dir_size image
+      |> Result.map_error (fun e ->
+             Log_disk.Unreadable { lsn; reason = "inflight image: " ^ e })
+      |> k
   | None -> Log_disk.read_page t.log_disk ~lsn k
 
 (* Read one generation's chain (first LSN + current span) in original
-   write order, invoking [k] with its records.
+   write order, invoking [k] with its pages' payload chunks.
 
    [allow_torn_tail]: the chain's {e final} page is the one a crash can
    tear mid-write.  Normally its stable-memory shadow serves the read
@@ -336,7 +286,7 @@ let read_chain t bin ?(allow_torn_tail = false) (first, current_span) k =
           true
       | _ -> false
     in
-    let span_cache : (int64, Log_record.t list) Hashtbl.t = Hashtbl.create 16 in
+    let span_cache : (int64, Log_page.chunk) Hashtbl.t = Hashtbl.create 16 in
     (* Phase 1: walk spans backward until the span starting at [first]; the
        first page of each span embeds the previous span's directory. *)
     let rec collect_spans spans =
@@ -349,8 +299,8 @@ let read_chain t bin ?(allow_torn_tail = false) (first, current_span) k =
             read_lsn t bin oldest_span_head (fun result ->
                 match result with
                 | Error e -> k (Error e)
-                | Ok (header, records) ->
-                    Hashtbl.replace span_cache oldest_span_head records;
+                | Ok (header, chunk) ->
+                    Hashtbl.replace span_cache oldest_span_head chunk;
                     let prev_span = Array.to_list header.Log_page.dir in
                     if prev_span = [] then
                       k (Error (Log_disk.Unreadable
@@ -362,19 +312,19 @@ let read_chain t bin ?(allow_torn_tail = false) (first, current_span) k =
       let lsns = List.concat spans in
       let out = ref [] in
       let rec step = function
-        | [] -> k (Ok (List.concat (List.rev !out)))
+        | [] -> k (Ok (List.rev !out))
         | lsn :: rest -> (
             match Hashtbl.find_opt span_cache lsn with
-            | Some records ->
-                out := records :: !out;
+            | Some chunk ->
+                out := chunk :: !out;
                 step rest
             | None ->
                 read_lsn t bin lsn (fun result ->
                     match result with
                     | Error e when discard_torn lsn e -> step rest
                     | Error e -> k (Error e)
-                    | Ok (_, records) ->
-                        out := records :: !out;
+                    | Ok (_, chunk) ->
+                        out := chunk :: !out;
                         step rest))
       in
       step lsns
@@ -388,8 +338,9 @@ let records_for_recovery t part k =
   | Some bin -> (
       (* Replay order: shadow pages, shadow buffer, live pages, live
          buffer — exactly the order the records were originally written. *)
-      let live_buffer = Partition_bin.live_buffer_records bin in
-      let shadow_buffer = Partition_bin.shadow_buffer_records bin in
+      let buffer ~shadow = Option.to_list (Partition_bin.buffer bin ~shadow) in
+      let live_buffer = buffer ~shadow:false in
+      let shadow_buffer = buffer ~shadow:true in
       let finish shadow_pages live_pages =
         k (Ok (shadow_pages @ shadow_buffer @ live_pages @ live_buffer))
       in

@@ -43,7 +43,6 @@ val recover :
 
 val layout : t -> Stable_layout.t
 val log_disk : t -> Log_disk.t
-val n_update : t -> int
 
 val set_recorder : t -> Mrdb_obs.Flight_recorder.t option -> unit
 (** Attach a flight recorder: each sealed bin page then records a
@@ -52,26 +51,17 @@ val set_recorder : t -> Mrdb_obs.Flight_recorder.t option -> unit
 val bin_index_of : t -> Addr.partition -> int
 (** The partition's permanent bin-table index, allocating a slot on first
     use (the main CPU stamps this into each log record).
-    @raise Failure when the bin table is full. *)
+    @raise Bin_table_full when the bin table is full. *)
 
 val find_bin : t -> Addr.partition -> Partition_bin.t option
-val bin_of_index : t -> int -> Partition_bin.t option
 
-val accept : t -> Log_record.t -> unit
-(** The sorting step: place one committed record into its bin, sealing and
-    writing pages as they fill, and fire checkpoint triggers. *)
-
-val accept_raw : t -> bytes -> pos:int -> len:int -> unit
-(** Zero-copy {!accept}: sort one encoded record frame — as handed out by
-    {!Slb.drain_raw}, u16 header at [pos - 2] — into its bin without
-    decoding or copying it.  The bin index and sequence watermark are
-    peeked out of the encoding; the frame lands in the bin buffer as one
-    stable-memory write.  This is the hot drain path. *)
-
-val accept_all : t -> Log_record.t list -> unit
-(** [List.iter (accept t)] — convenience for recovery/test paths.  The hot
-    drain path streams record frames straight off the SLB chains
-    ({!Slb.drain_raw} + {!accept_raw}) instead of materializing records. *)
+val accept : t -> bytes -> pos:int -> len:int -> unit
+(** The sorting step: place one committed record frame — as handed out by
+    {!Slb.drain}, [len] bytes at [pos] with the u16 header at [pos - 2] —
+    into its bin, sealing and writing pages as they fill, and fire
+    checkpoint triggers.  The bin index and sequence watermark are peeked
+    out of the encoding; the frame is neither decoded nor copied, and
+    lands in the bin buffer as one stable-memory write. *)
 
 val flush_partition : t -> Addr.partition -> unit
 (** Seal and write the partition's partial page, if any (checkpoint step 7
@@ -108,12 +98,13 @@ val window_pressure : t -> float
     (1.0 = about to fall off). *)
 
 val records_for_recovery :
-  t -> Addr.partition -> ((Log_record.t list, string) result -> unit) -> unit
-(** Reassemble the partition's full record stream in original write order:
-    disk pages (located via the directory spans, read oldest-span-first,
-    with in-flight stable images overlaying unreadable slots) followed by
-    the records still buffered in the bin.  Asynchronous: disk reads go
-    through the simulated clock. *)
+  t -> Addr.partition -> ((Log_page.chunk list, string) result -> unit) -> unit
+(** Reassemble the partition's full record stream in original write order,
+    as payload chunks of framed records: shadow pages, shadow buffer, live
+    pages, live buffer.  Pages are located via the directory spans, read
+    oldest-span-first, with in-flight stable images overlaying unreadable
+    slots; each page's chunk points into the image already read.
+    Asynchronous: disk reads go through the simulated clock. *)
 
 val pending_page_writes : t -> int
 (** Seals issued whose disk writes have not yet completed. *)

@@ -44,7 +44,6 @@ val default_config : config
     directory size 8, one SLB region — about 6 MB of stable memory, the
     paper's "few megabytes". *)
 
-val bin_info_bytes : config -> int
 val required_bytes : config -> int
 
 type t

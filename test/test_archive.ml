@@ -33,8 +33,9 @@ let test_latest_image_and_log_tail () =
   let img w = { Mrdb_ckpt.Ckpt_image.part; watermark = w; snapshot = Partition.snapshot p } in
   Archive.on_ckpt_image a (img 5) ~page_bytes:512;
   Archive.on_ckpt_image a (img 9) ~page_bytes:512;
-  (match Archive.latest_image a part with
-  | Some i -> check int_t "newest image wins" 9 i.Mrdb_ckpt.Ckpt_image.watermark
+  (match Option.map Mrdb_ckpt.Ckpt_image.check (Archive.latest_image a part) with
+  | Some (Ok v) -> check int_t "newest image wins" 9 v.Mrdb_ckpt.Ckpt_image.v_watermark
+  | Some (Error e) -> Alcotest.fail e
   | None -> Alcotest.fail "image missing");
   check bool_t "unknown partition" true
     (Archive.latest_image a { Addr.segment = 9; partition = 9 } = None);

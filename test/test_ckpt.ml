@@ -165,12 +165,12 @@ let test_image_roundtrip () =
         snapshot = Partition.snapshot p }
   in
   check int_t "page multiple" 0 (Bytes.length image mod 512);
-  match Ckpt_image.decode image with
+  match Ckpt_image.check image with
   | Error e -> Alcotest.fail e
-  | Ok d ->
-      check int_t "watermark" 42 d.Ckpt_image.watermark;
-      check int_t "segment" 3 d.Ckpt_image.part.Addr.segment;
-      let p' = Partition.of_snapshot d.Ckpt_image.snapshot in
+  | Ok v ->
+      check int_t "watermark" 42 v.Ckpt_image.v_watermark;
+      check int_t "segment" 3 v.Ckpt_image.v_part.Addr.segment;
+      let p' = Partition.of_snapshot ~pos:v.Ckpt_image.pos ~len:v.Ckpt_image.len image in
       check bool_t "snapshot intact" true (Partition.equal_contents p p')
 
 let test_image_detects_corruption () =
@@ -182,7 +182,7 @@ let test_image_detects_corruption () =
   in
   Bytes.set image 100 '\x99';
   check bool_t "crc mismatch" true
-    (match Ckpt_image.decode image with Error _ -> true | Ok _ -> false)
+    (match Ckpt_image.check image with Error _ -> true | Ok _ -> false)
 
 let test_image_pages_needed () =
   check int_t "tiny fits one page" 1 (Ckpt_image.pages_needed ~page_bytes:512 ~snapshot_bytes:100);

@@ -298,13 +298,11 @@ let mk_record ?(txn = 1) ?(seq = 1) () =
   Log_record.make ~tag:Log_record.Relation_op ~bin_index:0 ~txn_id:txn ~seq
     ~op:(Part_op.Insert { slot = 0; data = Bytes.make 16 'r' })
 
+let page_records = List.init 3 (fun i -> mk_record ~seq:(i + 1) ())
+
 let page_image ~lsn =
-  let records = List.init 3 (fun i -> mk_record ~seq:(i + 1) ()) in
-  let payload =
-    Bytes.concat Bytes.empty (List.map Log_page.frame_record records)
-  in
-  Log_page.build ~page_bytes:512 ~dir_size:3 ~lsn ~part:part_a
-    ~prev_lsn:(Int64.pred lsn) ~dir:[| 10L; 11L; 12L |] ~payload ~nrecords:3
+  Frames.page ~page_bytes:512 ~dir_size:3 ~lsn ~part:part_a
+    ~prev_lsn:(Int64.pred lsn) ~dir:[| 10L; 11L; 12L |] page_records
 
 let slot_of ld lsn =
   Int64.to_int (Int64.rem lsn (Int64.of_int (Log_disk.window_pages ld)))
@@ -323,9 +321,9 @@ let test_log_disk_one_corrupt_copy_invisible () =
   Log_disk.read_page ld ~lsn (fun r -> result := Some r);
   Sim.run sim;
   (match !result with
-  | Some (Ok (header, records)) ->
+  | Some (Ok (header, chunk)) ->
       check i64_t "right page" lsn header.Log_page.lsn;
-      check int_t "records decoded" 3 (List.length records)
+      Frames.check "frames intact" page_records (Frames.of_chunks [ chunk ])
   | Some (Error e) -> Alcotest.fail (Log_disk.read_error_to_string e)
   | None -> Alcotest.fail "no result");
   check bool_t "checksum failure counted" true
@@ -365,12 +363,12 @@ let test_torn_tail_page_discarded () =
       ~on_checkpoint_request:(fun _ _ -> ())
       ()
   in
-  let accept ~txn ~seq =
-    Slt.accept slt
-      (Log_record.make ~tag:Log_record.Relation_op
-         ~bin_index:(Slt.bin_index_of slt part_a) ~txn_id:txn ~seq
-         ~op:(Part_op.Insert { slot = 0; data = Bytes.make 16 'd' }))
+  let record ~txn ~seq =
+    Log_record.make ~tag:Log_record.Relation_op
+      ~bin_index:(Slt.bin_index_of slt part_a) ~txn_id:txn ~seq
+      ~op:(Part_op.Insert { slot = 0; data = Bytes.make 16 'd' })
   in
+  let accept ~txn ~seq = Frames.accept slt (record ~txn ~seq) in
   (* These five records end up on the soon-to-be-torn tail page. *)
   for i = 1 to 5 do
     accept ~txn:1 ~seq:i
@@ -394,16 +392,9 @@ let test_torn_tail_page_discarded () =
       ~on_checkpoint_request:(fun _ _ -> ())
       ()
   in
-  let result = ref None in
-  Slt.records_for_recovery slt' part_a (fun r -> result := Some r);
-  Sim.run sim;
-  (match !result with
-  | Some (Ok records) ->
-      check (Alcotest.list int_t)
-        "tail page dropped as torn; buffered records survive" [ 6; 7; 8 ]
-        (List.map (fun r -> r.Log_record.seq) records)
-  | Some (Error e) -> Alcotest.fail e
-  | None -> Alcotest.fail "no result");
+  Frames.check "tail page dropped as torn; buffered records survive"
+    (List.map (fun seq -> record ~txn:2 ~seq) [ 6; 7; 8 ])
+    (Frames.recovered ~sim slt' part_a);
   check int_t "discard observable in the trace" 1
     (Trace.count trace "restorer_torn_tail_discarded")
 
@@ -421,7 +412,7 @@ let test_torn_middle_page_still_fails () =
       ()
   in
   let accept ~seq =
-    Slt.accept slt
+    Frames.accept slt
       (Log_record.make ~tag:Log_record.Relation_op
          ~bin_index:(Slt.bin_index_of slt part_a) ~txn_id:1 ~seq
          ~op:(Part_op.Insert { slot = 0; data = Bytes.make 16 'd' }))
@@ -454,9 +445,9 @@ let test_torn_middle_page_still_fails () =
   Sim.run sim;
   match !result with
   | Some (Error _) -> ()
-  | Some (Ok records) ->
+  | Some (Ok chunks) ->
       Alcotest.failf "mid-chain loss silently dropped: recovered %d records"
-        (List.length records)
+        (List.length (Frames.of_chunks chunks))
   | None -> Alcotest.fail "no result"
 
 (* -- Whole-Db resilience ----------------------------------------------------- *)

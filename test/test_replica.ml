@@ -98,6 +98,60 @@ let test_role_gating () =
   (* Demotion requires a cold node: the volatile state must be gone. *)
   expect_misuse "demote a live primary" (fun () -> Db.demote_to_standby p)
 
+(* -- Audit of a structurally corrupt image ---------------------------------- *)
+
+(* The standby's copy of a checkpoint image is replaced by one whose CRC
+   is valid but whose partition header is not (data tail past the end of
+   the partition).  Rebuilding it raises inside [Partition.of_snapshot];
+   the audit must report that as divergence — a [Diverged] ack — and the
+   next cut must re-seed the standby under a bumped epoch. *)
+let test_corrupt_header_image_diverges () =
+  let module Ckpt_image = Mrdb_ckpt.Ckpt_image in
+  let module Disk = Mrdb_hw.Disk in
+  let cl = Replica.create ~lag_bound:1000 () in
+  let p = Replica.primary cl and s = Replica.standby cl in
+  Db.create_relation p ~name:"t" ~schema:(Schema.of_list [ ("k", Schema.Int); ("v", Schema.Int) ]);
+  for i = 1 to 6 do
+    Db.with_txn p (fun tx -> ignore (Db.insert p tx ~rel:"t" [| Schema.int i; Schema.int i |]))
+  done;
+  Db.checkpoint_all p;
+  ignore (Replica.ship_cut cl);
+  let first, n =
+    match List.filter_map (Db.checkpoint_location p) (Db.all_partitions p) with
+    | loc :: _ -> loc
+    | [] -> Alcotest.fail "no checkpointed partition"
+  in
+  let disk = Db.ckpt_disk s in
+  let pages =
+    List.init n (fun i ->
+        match Disk.peek_page disk ~page:(first + i) with
+        | Some pg -> pg
+        | None -> Alcotest.fail "standby image page missing")
+  in
+  let page_bytes = Bytes.length (List.hd pages) in
+  let image = Bytes.concat Bytes.empty pages in
+  let v =
+    match Ckpt_image.check image with Ok v -> v | Error e -> Alcotest.fail e
+  in
+  let snapshot = Bytes.sub image v.Ckpt_image.pos v.Ckpt_image.len in
+  Mrdb_util.Codec.put_u32 snapshot 16 (Bytes.length snapshot + 1) (* data tail *);
+  let bad =
+    Ckpt_image.encode ~page_bytes
+      { Ckpt_image.part = v.Ckpt_image.v_part; watermark = v.Ckpt_image.v_watermark; snapshot }
+  in
+  check Alcotest.bool "corrupt image still passes its CRC" true
+    (Result.is_ok (Ckpt_image.check bad));
+  List.iteri
+    (fun i _ -> Disk.install_page disk ~page:(first + i) (Bytes.sub bad (i * page_bytes) page_bytes))
+    pages;
+  let count db c = Mrdb_sim.Trace.count (Db.trace db) c in
+  ignore (Replica.ship_cut cl) (* audit fails; ack Diverged *);
+  check Alcotest.bool "audit reported divergence" true (count s "replica_divergences" > 0);
+  check Alcotest.bool "primary saw the Diverged ack" true (count p "ship_acks_diverged" > 0);
+  ignore (Replica.ship_cut cl) (* full re-seed *);
+  check Alcotest.bool "re-seed forced" true (count p "ship_reseeds" > 0);
+  check Alcotest.bool "epoch bumped" true (Replica.epoch cl > 1)
+
 (* -- Headline scenarios --------------------------------------------------- *)
 
 let pp_report (r : Scenario.report) =
@@ -268,6 +322,11 @@ let () =
               test_codec_rejects_corruption;
           ] );
         ("roles", [ Alcotest.test_case "gating" `Quick test_role_gating ]);
+        ( "audit",
+          [
+            Alcotest.test_case "corrupt image header diverges" `Quick
+              test_corrupt_header_image_diverges;
+          ] );
         ( "scenarios",
           List.concat_map
             (fun seed ->

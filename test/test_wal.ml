@@ -99,28 +99,26 @@ let prop_record_codec_equivalence =
 
 let test_page_roundtrip () =
   let records = List.init 5 (fun i -> mk_record ~seq:(i + 1) ~slot:i ()) in
-  let payload = Bytes.concat Bytes.empty (List.map Log_page.frame_record records) in
   let image =
-    Log_page.build ~page_bytes:512 ~dir_size:3 ~lsn:17L ~part:part_a ~prev_lsn:16L
-      ~dir:[| 10L; 11L; 12L |] ~payload ~nrecords:5
+    Frames.page ~page_bytes:512 ~dir_size:3 ~lsn:17L ~part:part_a ~prev_lsn:16L
+      ~dir:[| 10L; 11L; 12L |] records
   in
   check int_t "image is page-sized" 512 (Bytes.length image);
   match Log_page.parse ~page_bytes:512 ~dir_size:3 image with
   | Error e -> Alcotest.fail e
-  | Ok (header, records') ->
+  | Ok (header, chunk) ->
       check i64_t "lsn" 17L header.Log_page.lsn;
       check i64_t "prev" 16L header.Log_page.prev_lsn;
       check bool_t "partition" true (Addr.equal_partition part_a header.Log_page.part);
       check int_t "dir" 3 (Array.length header.Log_page.dir);
-      check int_t "records" 5 (List.length records');
-      List.iter2
-        (fun a b -> check bool_t "record equal" true (Log_record.equal a b))
-        records records'
+      check int_t "nrecords" 5 header.Log_page.nrecords;
+      check bool_t "chunk points into the image" true (chunk.Log_page.buf == image);
+      Frames.check "frames byte for byte" records (Frames.of_chunks [ chunk ])
 
 let test_page_detects_corruption () =
   let image =
-    Log_page.build ~page_bytes:512 ~dir_size:3 ~lsn:1L ~part:part_a ~prev_lsn:(-1L)
-      ~dir:[||] ~payload:(Log_page.frame_record (mk_record ())) ~nrecords:1
+    Frames.page ~page_bytes:512 ~dir_size:3 ~lsn:1L ~part:part_a ~prev_lsn:(-1L)
+      ~dir:[||] [ mk_record () ]
   in
   Bytes.set image 100 '\xFF';
   check bool_t "crc catches flip" true
@@ -130,43 +128,77 @@ let test_page_detects_corruption () =
 
 let test_page_rejects_oversized_payload () =
   Alcotest.check_raises "payload too large"
-    (Invalid_argument "Log_page.build: payload too large") (fun () ->
-      ignore
-        (Log_page.build ~page_bytes:512 ~dir_size:3 ~lsn:1L ~part:part_a
-           ~prev_lsn:(-1L) ~dir:[||] ~payload:(Bytes.make 500 'x') ~nrecords:1))
+    (Invalid_argument "Log_page.prepare_into: payload too large") (fun () ->
+      Log_page.prepare_into ~dir_size:3 ~lsn:1L ~part:part_a ~prev_lsn:(-1L)
+        ~dir:[||] ~used:500 ~nrecords:1 (Bytes.create 512))
+
+(* A page whose CRC is valid but whose frames do not tile [used]: the
+   second frame's length runs past the payload.  The read side decodes no
+   records, so the frame walk itself must reject it — in [Log_page.parse]
+   and, through it, as [Unreadable] from the log disk (what keeps
+   torn-tail discard working). *)
+let test_page_rejects_frame_overrun () =
+  let records = List.init 3 (fun i -> mk_record ~seq:(i + 1) ()) in
+  let sim = Mrdb_sim.Sim.create () in
+  let layout = mk_layout () in
+  let ld = Log_disk.create sim ~layout ~window_pages:8 () in
+  let lsn = Log_disk.alloc_lsn ld in
+  let image =
+    Frames.page ~page_bytes:512 ~dir_size:3 ~lsn ~part:part_a ~prev_lsn:(-1L)
+      ~dir:[||] records
+  in
+  let second = Log_page.payload_off ~dir_size:3 + Bytes.length (Frames.frame (List.hd records)) in
+  Mrdb_util.Codec.put_u16 image second 400;
+  Log_page.finish image;
+  check bool_t "crc still valid" true (Log_page.verify ~page_bytes:512 image);
+  check bool_t "parse rejects the overrun" true
+    (match Log_page.parse ~page_bytes:512 ~dir_size:3 image with
+    | Error _ -> true
+    | Ok _ -> false);
+  let got = ref None in
+  Log_disk.write_page ld ~lsn image (fun () ->
+      Log_disk.read_page ld ~lsn (fun r -> got := Some r));
+  Mrdb_sim.Sim.run sim;
+  match !got with
+  | Some (Error (Log_disk.Unreadable { lsn = l; _ })) -> check i64_t "names the lsn" lsn l
+  | Some (Error e) -> Alcotest.failf "wrong error: %s" (Log_disk.read_error_to_string e)
+  | Some (Ok _) -> Alcotest.fail "overrunning page read back Ok"
+  | None -> Alcotest.fail "no result"
 
 (* -- Slb ------------------------------------------------------------------------ *)
+
+(* Drain everything, collecting (txn, frame) in drain order. *)
+let drain_frames slb =
+  let out = ref [] in
+  let n = Slb.drain slb ~f:(fun ~txn_id buf ~pos ~len -> out := (txn_id, Frames.copy buf ~pos ~len) :: !out) in
+  (n, List.rev !out)
 
 let test_slb_append_commit_drain () =
   let layout = mk_layout () in
   let slb = Slb.create layout in
-  Slb.append slb ~txn_id:1 (mk_record ~txn:1 ~seq:1 ());
-  Slb.append slb ~txn_id:2 (mk_record ~txn:2 ~seq:1 ());
-  Slb.append slb ~txn_id:1 (mk_record ~txn:1 ~seq:2 ());
+  let r0 = Slb.region slb 0 in
+  let a1 = mk_record ~txn:1 ~seq:1 () and b1 = mk_record ~txn:2 ~seq:1 ()
+  and a2 = mk_record ~txn:1 ~seq:2 () in
+  Slb.Region.append r0 ~txn_id:1 a1;
+  Slb.Region.append r0 ~txn_id:2 b1;
+  Slb.Region.append r0 ~txn_id:1 a2;
   check int_t "two uncommitted" 2 (Slb.uncommitted_count slb);
-  Slb.commit slb ~txn_id:2;
-  Slb.commit slb ~txn_id:1;
+  Slb.Region.commit r0 ~txn_id:2;
+  Slb.Region.commit r0 ~txn_id:1;
   check int_t "two pending" 2 (Slb.pending_committed slb);
-  let order = ref [] in
-  let n =
-    Slb.drain slb ~f:(fun ~txn_id r ->
-        order := (txn_id, r.Log_record.seq) :: !order)
-  in
+  let n, drained = drain_frames slb in
   check int_t "drained 2" 2 n;
   (* Commit order preserved: txn 2 first, then txn 1 with both records in
      append order. *)
-  check
-    (Alcotest.list (Alcotest.pair int_t int_t))
-    "commit order + append order"
-    [ (2, 1); (1, 1); (1, 2) ]
-    (List.rev !order);
+  check (Alcotest.list int_t) "commit order" [ 2; 1; 1 ] (List.map fst drained);
+  Frames.check "frames in commit + append order" [ b1; a1; a2 ] (List.map snd drained);
   check int_t "nothing pending" 0 (Slb.pending_committed slb)
 
 let test_slb_abort_frees_blocks () =
   let layout = mk_layout () in
   let slb = Slb.create layout in
   let free0 = Slb.blocks_free slb in
-  Slb.append slb ~txn_id:1 (mk_record ());
+  Slb.Region.append (Slb.region slb 0) ~txn_id:1 (mk_record ());
   check bool_t "block allocated" true (Slb.blocks_free slb < free0);
   Slb.abort slb ~txn_id:1;
   check int_t "blocks back" free0 (Slb.blocks_free slb);
@@ -175,55 +207,88 @@ let test_slb_abort_frees_blocks () =
 let test_slb_chains_span_blocks () =
   let layout = mk_layout () in
   let slb = Slb.create layout in
-  for i = 1 to 20 do
-    Slb.append slb ~txn_id:1 (mk_record ~seq:i ~size:60 ())
-  done;
-  check int_t "records preserved" 20 (List.length (Slb.records_of slb ~txn_id:1));
-  Slb.commit slb ~txn_id:1;
-  let seen = ref [] in
-  ignore
-    (Slb.drain slb ~f:(fun ~txn_id:_ r -> seen := r.Log_record.seq :: !seen));
-  check (Alcotest.list int_t) "order across blocks"
-    (List.init 20 (fun i -> i + 1))
-    (List.rev !seen)
+  let r0 = Slb.region slb 0 in
+  let records = List.init 20 (fun i -> mk_record ~seq:(i + 1) ~size:60 ()) in
+  List.iter (Slb.Region.append r0 ~txn_id:1) records;
+  Slb.Region.commit r0 ~txn_id:1;
+  let _, drained = drain_frames slb in
+  Frames.check "order across blocks" records (List.map snd drained)
 
 let test_slb_exhaustion () =
   let layout = mk_layout () in
   let slb = Slb.create layout in
   Alcotest.check_raises "full" Slb.Slb_full (fun () ->
       for txn = 1 to 1000 do
-        Slb.append slb ~txn_id:txn (mk_record ~txn ~size:100 ())
+        Slb.Region.append (Slb.region slb 0) ~txn_id:txn (mk_record ~txn ~size:100 ())
       done)
 
 let test_slb_empty_commit_is_trivial () =
   let layout = mk_layout () in
   let slb = Slb.create layout in
-  Slb.commit slb ~txn_id:42;
+  Slb.Region.commit (Slb.region slb 0) ~txn_id:42;
   check int_t "no ring entry" 0 (Slb.pending_committed slb)
+
+(* Group-commit staging on a region too small for the chain: a
+   [Slb_full] partway through [materialize] must give back the blocks it
+   took and keep the stage, so the chain materializes intact once blocks
+   are freed. *)
+let test_slb_materialize_rollback () =
+  let layout = mk_layout () in
+  let slb = Slb.create layout in
+  let r0 = Slb.region slb 0 in
+  (* Hog all but 3 of the 64 blocks with an uncommitted chain. *)
+  let hog = ref 0 in
+  while Slb.blocks_free slb > 3 do
+    incr hog;
+    Slb.Region.append r0 ~txn_id:1 (mk_record ~txn:1 ~seq:!hog ~size:200 ())
+  done;
+  (* Ten ~220-byte frames need ten 256-byte blocks. *)
+  let staged = List.init 10 (fun i -> mk_record ~txn:2 ~seq:(i + 1) ~size:200 ()) in
+  List.iter (Slb.Region.stage_append r0 ~txn_id:2) staged;
+  let free0 = Slb.blocks_free slb in
+  Alcotest.check_raises "chain does not fit" Slb.Slb_full (fun () ->
+      Slb.Region.materialize r0 ~txn_id:2);
+  check int_t "no blocks leaked" free0 (Slb.blocks_free slb);
+  check int_t "nothing left in the batch" 0 (Slb.Region.flush_batch r0);
+  Slb.abort slb ~txn_id:1;
+  Slb.Region.materialize r0 ~txn_id:2;
+  check bool_t "one coalesced write" true (Slb.Region.flush_batch r0 >= 1);
+  Slb.Region.commit r0 ~txn_id:2;
+  let _, drained = drain_frames slb in
+  Frames.check "staged chain intact" staged (List.map snd drained);
+  check int_t "all blocks back" 64 (Slb.blocks_free slb)
 
 let test_slb_survives_crash () =
   let cfg = small_config in
   let mem = Mrdb_hw.Stable_mem.create ~size:(Stable_layout.required_bytes cfg) () in
   let layout = Stable_layout.attach cfg mem in
   let slb = Slb.create layout in
-  Slb.append slb ~txn_id:1 (mk_record ~txn:1 ~seq:1 ());
-  Slb.append slb ~txn_id:1 (mk_record ~txn:1 ~seq:2 ());
-  Slb.commit slb ~txn_id:1;
+  let r0 = Slb.region slb 0 in
+  let committed = [ mk_record ~txn:1 ~seq:1 (); mk_record ~txn:1 ~seq:2 () ] in
+  List.iter (Slb.Region.append r0 ~txn_id:1) committed;
+  Slb.Region.commit r0 ~txn_id:1;
   (* txn 2 never commits: its records must vanish. *)
-  Slb.append slb ~txn_id:2 (mk_record ~txn:2 ~seq:1 ());
+  Slb.Region.append r0 ~txn_id:2 (mk_record ~txn:2 ~seq:1 ());
   (* Crash: volatile structures discarded, stable memory survives. *)
   let layout' = Stable_layout.attach cfg mem in
   let slb' = Slb.recover layout' in
   check int_t "committed chain survives" 1 (Slb.pending_committed slb');
-  let drained = Hashtbl.create 4 in
-  ignore
-    (Slb.drain slb' ~f:(fun ~txn_id _ ->
-         Hashtbl.replace drained txn_id
-           (1 + Option.value ~default:0 (Hashtbl.find_opt drained txn_id))));
-  check (Alcotest.list (Alcotest.pair int_t int_t)) "txn1 intact" [ (1, 2) ]
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) drained []);
+  let _, drained = drain_frames slb' in
+  check (Alcotest.list int_t) "only txn 1" [ 1; 1 ] (List.map fst drained);
+  Frames.check "txn1 intact" committed (List.map snd drained);
   (* Uncommitted blocks were reclaimed. *)
   check int_t "all blocks free" cfg.Stable_layout.slb_block_count (Slb.blocks_free slb')
+
+(* Two records per transaction, appended and committed in order. *)
+let commit_pairs slb txns =
+  let r0 = Slb.region slb 0 in
+  List.concat_map
+    (fun txn ->
+      let rs = [ mk_record ~txn ~seq:1 (); mk_record ~txn ~seq:2 () ] in
+      List.iter (Slb.Region.append r0 ~txn_id:txn) rs;
+      Slb.Region.commit r0 ~txn_id:txn;
+      rs)
+    txns
 
 let test_slb_ring_wraparound () =
   (* The committed ring's cursors are monotonic; slot reuse is mod
@@ -232,26 +297,12 @@ let test_slb_ring_wraparound () =
      order. *)
   let layout = mk_layout () in
   let slb = Slb.create layout in
-  let next_txn = ref 0 in
-  for _wave = 1 to 5 do
-    let first = !next_txn in
-    for _ = 1 to 20 do
-      let txn = !next_txn in
-      incr next_txn;
-      Slb.append slb ~txn_id:txn (mk_record ~txn ~seq:1 ());
-      Slb.append slb ~txn_id:txn (mk_record ~txn ~seq:2 ());
-      Slb.commit slb ~txn_id:txn
-    done;
-    let order = ref [] in
-    let n = Slb.drain slb ~f:(fun ~txn_id r -> order := (txn_id, r.Log_record.seq) :: !order) in
+  for wave = 0 to 4 do
+    let records = commit_pairs slb (List.init 20 (fun i -> (wave * 20) + i)) in
+    let n, drained = drain_frames slb in
     check int_t "wave drained" 20 n;
-    check
-      (Alcotest.list (Alcotest.pair int_t int_t))
-      "wave order"
-      (List.concat_map (fun i -> [ (first + i, 1); (first + i, 2) ]) (List.init 20 Fun.id))
-      (List.rev !order)
-  done;
-  check int_t "100 commits through a 32-slot ring" 100 !next_txn
+    Frames.check "wave order" records (List.map snd drained)
+  done
 
 let test_slb_ring_wrap_crash_recover () =
   (* Wrap the ring, then crash with undrained commits straddling the wrap
@@ -261,28 +312,20 @@ let test_slb_ring_wrap_crash_recover () =
   let mem = Mrdb_hw.Stable_mem.create ~size:(Stable_layout.required_bytes cfg) () in
   let layout = Stable_layout.attach cfg mem in
   let slb = Slb.create layout in
+  let r0 = Slb.region slb 0 in
   (* Advance the cursors to 24 of 32 so the next 16 commits wrap. *)
   for txn = 1 to 24 do
-    Slb.append slb ~txn_id:txn (mk_record ~txn ~seq:1 ());
-    Slb.commit slb ~txn_id:txn
+    Slb.Region.append r0 ~txn_id:txn (mk_record ~txn ~seq:1 ());
+    Slb.Region.commit r0 ~txn_id:txn
   done;
-  ignore (Slb.drain slb ~f:(fun ~txn_id:_ _ -> ()));
-  for txn = 100 to 115 do
-    Slb.append slb ~txn_id:txn (mk_record ~txn ~seq:1 ());
-    Slb.append slb ~txn_id:txn (mk_record ~txn ~seq:2 ());
-    Slb.commit slb ~txn_id:txn
-  done;
+  ignore (drain_frames slb);
+  let records = commit_pairs slb (List.init 16 (fun i -> 100 + i)) in
   (* Crash: volatile state gone, stable memory (wrapped ring) survives. *)
   let layout' = Stable_layout.attach cfg mem in
   let slb' = Slb.recover layout' in
   check int_t "wrapped commits survive" 16 (Slb.pending_committed slb');
-  let order = ref [] in
-  ignore (Slb.drain slb' ~f:(fun ~txn_id r -> order := (txn_id, r.Log_record.seq) :: !order));
-  check
-    (Alcotest.list (Alcotest.pair int_t int_t))
-    "wrapped order intact"
-    (List.concat_map (fun i -> [ (100 + i, 1); (100 + i, 2) ]) (List.init 16 Fun.id))
-    (List.rev !order);
+  let _, drained = drain_frames slb' in
+  Frames.check "wrapped order intact" records (List.map snd drained);
   check int_t "all blocks free after drain" cfg.Stable_layout.slb_block_count
     (Slb.blocks_free slb')
 
@@ -295,24 +338,25 @@ let mk_log_disk ?(window = 8) () =
 
 let mk_image layout ~lsn ?(part = part_a) ?(prev = -1L) ?(dir = [||]) records =
   let cfg = Stable_layout.config layout in
-  let payload = Bytes.concat Bytes.empty (List.map Log_page.frame_record records) in
-  Log_page.build ~page_bytes:cfg.Stable_layout.log_page_bytes
-    ~dir_size:cfg.Stable_layout.dir_size ~lsn ~part ~prev_lsn:prev ~dir ~payload
-    ~nrecords:(List.length records)
+  Frames.page ~page_bytes:cfg.Stable_layout.log_page_bytes
+    ~dir_size:cfg.Stable_layout.dir_size ~lsn ~part ~prev_lsn:prev ~dir records
 
 let test_log_disk_write_read () =
   let sim, layout, ld = mk_log_disk () in
   let lsn = Log_disk.alloc_lsn ld in
   check i64_t "first lsn" 0L lsn;
-  let image = mk_image layout ~lsn [ mk_record () ] in
+  let record = mk_record () in
+  let image = mk_image layout ~lsn [ record ] in
   let got = ref None in
   Log_disk.write_page ld ~lsn image (fun () ->
       Log_disk.read_page ld ~lsn (fun r -> got := Some r));
   Mrdb_sim.Sim.run sim;
-  check bool_t "read ok" true
-    (match !got with
-    | Some (Ok (h, [ _ ])) -> h.Log_page.lsn = lsn
-    | _ -> false)
+  match !got with
+  | Some (Ok (h, chunk)) ->
+      check i64_t "lsn" lsn h.Log_page.lsn;
+      Frames.check "frame read back" [ record ] (Frames.of_chunks [ chunk ])
+  | Some (Error e) -> Alcotest.fail (Log_disk.read_error_to_string e)
+  | None -> Alcotest.fail "no result"
 
 let test_log_disk_window_reuse () =
   let sim, layout, ld = mk_log_disk ~window:4 () in
@@ -362,7 +406,7 @@ let test_bin_append_and_counts () =
   let layout = mk_layout () in
   let bin = Partition_bin.activate layout ~idx:0 part_a in
   for i = 1 to 5 do
-    match Partition_bin.append bin (mk_record ~seq:i ()) with
+    match Frames.bin_append bin (mk_record ~seq:i ()) with
     | `Buffered -> ()
     | `Page_full -> Alcotest.fail "should fit"
   done;
@@ -375,8 +419,8 @@ let test_bin_seal_and_flush () =
   let layout = mk_layout () in
   let ld = Log_disk.create sim ~layout ~window_pages:8 () in
   let bin = Partition_bin.activate layout ~idx:0 part_a in
-  ignore (Partition_bin.append bin (mk_record ~seq:1 ()));
-  ignore (Partition_bin.append bin (mk_record ~seq:2 ()));
+  ignore (Frames.bin_append bin (mk_record ~seq:1 ()));
+  ignore (Frames.bin_append bin (mk_record ~seq:2 ()));
   match Partition_bin.seal_page bin ~log_disk:ld with
   | None -> Alcotest.fail "should seal"
   | Some (lsn, image) ->
@@ -399,7 +443,7 @@ let test_bin_directory_spans () =
   let bin = Partition_bin.activate layout ~idx:0 part_a in
   let embedded = ref [] in
   for page = 1 to 5 do
-    ignore (Partition_bin.append bin (mk_record ~seq:page ()));
+    ignore (Frames.bin_append bin (mk_record ~seq:page ()));
     match Partition_bin.seal_page bin ~log_disk:ld with
     | None -> Alcotest.fail "seal"
     | Some (lsn, image) ->
@@ -422,13 +466,13 @@ let test_bin_reset_after_checkpoint () =
   let layout = mk_layout () in
   let ld = Log_disk.create sim ~layout ~window_pages:8 () in
   let bin = Partition_bin.activate layout ~idx:0 part_a in
-  ignore (Partition_bin.append bin (mk_record ()));
+  ignore (Frames.bin_append bin (mk_record ()));
   (match Partition_bin.seal_page bin ~log_disk:ld with
   | Some (lsn, image) ->
       Log_disk.write_page ld ~lsn image (fun () -> Partition_bin.flush_complete bin ~lsn)
   | None -> Alcotest.fail "seal");
   Mrdb_sim.Sim.run sim;
-  ignore (Partition_bin.append bin (mk_record ~seq:2 ()));
+  ignore (Frames.bin_append bin (mk_record ~seq:2 ()));
   Partition_bin.reset_after_checkpoint bin;
   check int_t "updates zero" 0 (Partition_bin.update_count bin);
   check i64_t "first lsn cleared" (-1L) (Partition_bin.first_lsn bin);
@@ -443,14 +487,14 @@ let test_bin_state_survives_crash () =
   let ld = Log_disk.create sim ~layout ~window_pages:8 () in
   let bin = Partition_bin.activate layout ~idx:0 part_a in
   for i = 1 to 3 do
-    ignore (Partition_bin.append bin (mk_record ~seq:i ()))
+    ignore (Frames.bin_append bin (mk_record ~seq:i ()))
   done;
   (match Partition_bin.seal_page bin ~log_disk:ld with
   | Some (lsn, image) ->
       Log_disk.write_page ld ~lsn image (fun () -> Partition_bin.flush_complete bin ~lsn)
   | None -> Alcotest.fail "seal");
   Mrdb_sim.Sim.run sim;
-  ignore (Partition_bin.append bin (mk_record ~seq:4 ()));
+  ignore (Frames.bin_append bin (mk_record ~seq:4 ()));
   (* Crash: reload from the same stable memory. *)
   let layout' = Stable_layout.attach cfg mem in
   match Partition_bin.load layout' ~idx:0 with
@@ -503,7 +547,7 @@ let test_slt_accept_and_flush () =
   (* 512-byte pages hold a handful of ~30-byte frames; push enough to force
      page writes. *)
   for i = 1 to 40 do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i part_a)
+    Frames.accept w.slt (record_for w ~txn:1 ~seq:i part_a)
   done;
   Mrdb_sim.Sim.run w.sim;
   let bin = Option.get (Slt.find_bin w.slt part_a) in
@@ -514,12 +558,12 @@ let test_slt_accept_and_flush () =
 let test_slt_update_count_trigger () =
   let w = mk_slt ~n_update:10 () in
   for i = 1 to 10 do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i part_a)
+    Frames.accept w.slt (record_for w ~txn:1 ~seq:i part_a)
   done;
   check bool_t "checkpoint requested once" true
     (!(w.requests) = [ (part_a, Slt.Update_count) ]);
   (* More records do not duplicate the request. *)
-  Slt.accept w.slt (record_for w ~txn:1 ~seq:11 part_a);
+  Frames.accept w.slt (record_for w ~txn:1 ~seq:11 part_a);
   check int_t "still one" 1 (List.length !(w.requests))
 
 let test_slt_age_trigger () =
@@ -527,14 +571,14 @@ let test_slt_age_trigger () =
      checkpointed as hot traffic advances the window. *)
   let w = mk_slt ~n_update:1_000_000 ~window:8 () in
   ignore (Slt.bin_index_of w.slt part_a);
-  Slt.accept w.slt (record_for w ~txn:1 ~seq:1 part_a);
+  Frames.accept w.slt (record_for w ~txn:1 ~seq:1 part_a);
   Slt.flush_partition w.slt part_a;
   Mrdb_sim.Sim.run w.sim;
   (* Hot partition writes many pages. *)
   let seq = ref 0 in
   for _ = 1 to 200 do
     incr seq;
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:!seq ~size:100 part_b)
+    Frames.accept w.slt (record_for w ~txn:1 ~seq:!seq ~size:100 part_b)
   done;
   Mrdb_sim.Sim.run w.sim;
   check bool_t "age trigger fired for cold partition" true
@@ -544,7 +588,7 @@ let test_slt_age_trigger () =
 let test_slt_checkpoint_finished_resets () =
   let w = mk_slt ~n_update:5 () in
   for i = 1 to 5 do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i part_a)
+    Frames.accept w.slt (record_for w ~txn:1 ~seq:i part_a)
   done;
   check int_t "requested" 1 (List.length !(w.requests));
   Slt.checkpoint_finished w.slt part_a ~watermark:max_int;
@@ -554,56 +598,35 @@ let test_slt_checkpoint_finished_resets () =
   check bool_t "inactive" false (Partition_bin.has_outstanding bin);
   (* Trigger can fire again after reset. *)
   for i = 1 to 5 do
-    Slt.accept w.slt (record_for w ~txn:2 ~seq:(100 + i) part_a)
+    Frames.accept w.slt (record_for w ~txn:2 ~seq:(100 + i) part_a)
   done;
   check int_t "requested again" 2 (List.length !(w.requests))
 
 let test_slt_records_for_recovery_roundtrip () =
   let w = mk_slt ~n_update:1_000_000 () in
   let n = 120 in
-  for i = 1 to n do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
-  done;
+  let records = List.init n (fun i -> record_for w ~txn:1 ~seq:(i + 1) ~size:40 part_a) in
+  List.iter (Frames.accept w.slt) records;
   Mrdb_sim.Sim.run w.sim;
-  let result = ref None in
-  Slt.records_for_recovery w.slt part_a (fun r -> result := Some r);
-  Mrdb_sim.Sim.run w.sim;
-  match !result with
-  | Some (Ok records) ->
-      check int_t "all records recovered" n (List.length records);
-      check (Alcotest.list int_t) "in original order" (List.init n (fun i -> i + 1))
-        (List.map (fun r -> r.Log_record.seq) records)
-  | Some (Error e) -> Alcotest.fail e
-  | None -> Alcotest.fail "no result"
+  Frames.check "all records, in original order" records
+    (Frames.recovered ~sim:w.sim w.slt part_a)
 
 let test_slt_recovery_includes_buffered_and_inflight () =
   let w = mk_slt ~n_update:1_000_000 () in
-  for i = 1 to 30 do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
-  done;
+  let records = List.init 30 (fun i -> record_for w ~txn:1 ~seq:(i + 1) ~size:40 part_a) in
+  List.iter (Frames.accept w.slt) records;
   (* Do NOT run the simulator: disk writes are still in flight, and some
      records remain buffered.  Recovery must still see everything, reading
      in-flight pages from stable memory. *)
-  let result = ref None in
-  Slt.records_for_recovery w.slt part_a (fun r -> result := Some r);
-  Mrdb_sim.Sim.run w.sim;
-  match !result with
-  | Some (Ok records) ->
-      check int_t "all 30" 30 (List.length records);
-      check (Alcotest.list int_t) "ordered" (List.init 30 (fun i -> i + 1))
-        (List.map (fun r -> r.Log_record.seq) records)
-  | Some (Error e) -> Alcotest.fail e
-  | None -> Alcotest.fail "no result"
+  Frames.check "all 30, ordered" records (Frames.recovered ~sim:w.sim w.slt part_a)
 
 let test_slt_survives_crash () =
   let cfg = small_config in
   let w = mk_slt ~cfg ~n_update:1_000_000 () in
-  for i = 1 to 50 do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
-  done;
-  for i = 1 to 7 do
-    Slt.accept w.slt (record_for w ~txn:2 ~seq:i part_b)
-  done;
+  let records_a = List.init 50 (fun i -> record_for w ~txn:1 ~seq:(i + 1) ~size:40 part_a) in
+  let records_b = List.init 7 (fun i -> record_for w ~txn:2 ~seq:(i + 1) part_b) in
+  List.iter (Frames.accept w.slt) records_a;
+  List.iter (Frames.accept w.slt) records_b;
   Mrdb_sim.Sim.run w.sim;
   (* Crash: rebuild layout + SLT over the same stable memory and disk. *)
   let layout' = Stable_layout.attach cfg w.mem in
@@ -624,28 +647,15 @@ let test_slt_survives_crash () =
       ()
   in
   check int_t "two active partitions" 2 (List.length (Slt.active_partitions slt'));
-  let result = ref None in
-  Slt.records_for_recovery slt' part_a (fun r -> result := Some r);
-  Mrdb_sim.Sim.run w.sim;
-  (match !result with
-  | Some (Ok records) ->
-      check int_t "partition A records" 50 (List.length records);
-      check (Alcotest.list int_t) "ordered after crash" (List.init 50 (fun i -> i + 1))
-        (List.map (fun r -> r.Log_record.seq) records)
-  | Some (Error e) -> Alcotest.fail e
-  | None -> Alcotest.fail "no result");
-  let result_b = ref None in
-  Slt.records_for_recovery slt' part_b (fun r -> result_b := Some r);
-  Mrdb_sim.Sim.run w.sim;
-  match !result_b with
-  | Some (Ok records) -> check int_t "partition B buffered records" 7 (List.length records)
-  | Some (Error e) -> Alcotest.fail e
-  | None -> Alcotest.fail "no result"
+  Frames.check "partition A ordered after crash" records_a
+    (Frames.recovered ~sim:w.sim slt' part_a);
+  Frames.check "partition B buffered records" records_b
+    (Frames.recovered ~sim:w.sim slt' part_b)
 
 let test_slt_window_pressure () =
   let w = mk_slt ~n_update:1_000_000 ~window:8 () in
   check (Alcotest.float 0.001) "no pressure when idle" 0.0 (Slt.window_pressure w.slt);
-  Slt.accept w.slt (record_for w ~txn:1 ~seq:1 part_a);
+  Frames.accept w.slt (record_for w ~txn:1 ~seq:1 part_a);
   Slt.flush_partition w.slt part_a;
   Mrdb_sim.Sim.run w.sim;
   check bool_t "some pressure" true (Slt.window_pressure w.slt > 0.0)
@@ -655,9 +665,8 @@ let test_slt_window_pressure () =
 
 let test_cut_and_discard () =
   let w = mk_slt ~n_update:1_000_000 () in
-  for i = 1 to 30 do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
-  done;
+  let pre = List.init 30 (fun i -> record_for w ~txn:1 ~seq:(i + 1) ~size:40 part_a) in
+  List.iter (Frames.accept w.slt) pre;
   Mrdb_sim.Sim.run w.sim;
   let bin = Option.get (Slt.find_bin w.slt part_a) in
   check bool_t "no shadow yet" false (Partition_bin.has_shadow bin);
@@ -668,46 +677,28 @@ let test_cut_and_discard () =
   check i64_t "live chain empty" (-1L) (Partition_bin.first_lsn bin);
   check int_t "update count reset at cut" 0 (Partition_bin.update_count bin);
   (* Post-cut records build the live generation. *)
-  for i = 31 to 35 do
-    Slt.accept w.slt (record_for w ~txn:2 ~seq:i part_a)
-  done;
+  let post = List.init 5 (fun i -> record_for w ~txn:2 ~seq:(31 + i) part_a) in
+  List.iter (Frames.accept w.slt) post;
   (* Recovery before the discard sees both generations in order. *)
-  let result = ref None in
-  Slt.records_for_recovery w.slt part_a (fun r -> result := Some r);
-  Mrdb_sim.Sim.run w.sim;
-  (match !result with
-  | Some (Ok records) ->
-      check (Alcotest.list int_t) "shadow then live, in order"
-        (List.init 35 (fun i -> i + 1))
-        (List.map (fun r -> r.Log_record.seq) records)
-  | Some (Error e) -> Alcotest.fail e
-  | None -> Alcotest.fail "no result");
+  Frames.check "shadow then live, in order" (pre @ post)
+    (Frames.recovered ~sim:w.sim w.slt part_a);
   (* Commit the checkpoint: shadow discarded, live survives. *)
   Slt.checkpoint_finished w.slt part_a ~watermark:30;
   check bool_t "shadow gone" false (Partition_bin.has_shadow bin);
-  let result2 = ref None in
-  Slt.records_for_recovery w.slt part_a (fun r -> result2 := Some r);
-  Mrdb_sim.Sim.run w.sim;
-  match !result2 with
-  | Some (Ok records) ->
-      check (Alcotest.list int_t) "only post-cut records remain" [ 31; 32; 33; 34; 35 ]
-        (List.map (fun r -> r.Log_record.seq) records)
-  | Some (Error e) -> Alcotest.fail e
-  | None -> Alcotest.fail "no result"
+  Frames.check "only post-cut records remain" post
+    (Frames.recovered ~sim:w.sim w.slt part_a)
 
 let test_cut_survives_crash () =
   (* Crash between the cut and the discard: recovery must replay both
      generations. *)
   let cfg = small_config in
   let w = mk_slt ~cfg ~n_update:1_000_000 () in
-  for i = 1 to 20 do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
-  done;
+  let pre = List.init 20 (fun i -> record_for w ~txn:1 ~seq:(i + 1) ~size:40 part_a) in
+  List.iter (Frames.accept w.slt) pre;
   Mrdb_sim.Sim.run w.sim;
   ignore (Slt.begin_checkpoint w.slt part_a);
-  for i = 21 to 25 do
-    Slt.accept w.slt (record_for w ~txn:2 ~seq:i part_a)
-  done;
+  let post = List.init 5 (fun i -> record_for w ~txn:2 ~seq:(21 + i) part_a) in
+  List.iter (Frames.accept w.slt) post;
   Mrdb_sim.Sim.run w.sim;
   (* Crash: reload everything from stable memory. *)
   let layout' = Stable_layout.attach cfg w.mem in
@@ -718,16 +709,8 @@ let test_cut_survives_crash () =
   in
   let bin = Option.get (Slt.find_bin slt' part_a) in
   check bool_t "shadow survives crash" true (Partition_bin.has_shadow bin);
-  let result = ref None in
-  Slt.records_for_recovery slt' part_a (fun r -> result := Some r);
-  Mrdb_sim.Sim.run w.sim;
-  match !result with
-  | Some (Ok records) ->
-      check (Alcotest.list int_t) "both generations replay in order"
-        (List.init 25 (fun i -> i + 1))
-        (List.map (fun r -> r.Log_record.seq) records)
-  | Some (Error e) -> Alcotest.fail e
-  | None -> Alcotest.fail "no result"
+  Frames.check "both generations replay in order" (pre @ post)
+    (Frames.recovered ~sim:w.sim slt' part_a)
 
 let test_cut_empty_bin () =
   let w = mk_slt () in
@@ -736,15 +719,15 @@ let test_cut_empty_bin () =
 
 let test_double_cut_busy () =
   let w = mk_slt ~n_update:1_000_000 () in
-  Slt.accept w.slt (record_for w ~txn:1 ~seq:1 part_a);
+  Frames.accept w.slt (record_for w ~txn:1 ~seq:1 part_a);
   check bool_t "first cut" true (Slt.begin_checkpoint w.slt part_a = `Cut);
-  Slt.accept w.slt (record_for w ~txn:1 ~seq:2 part_a);
+  Frames.accept w.slt (record_for w ~txn:1 ~seq:2 part_a);
   check bool_t "second cut refused while shadow parked" true
     (Slt.begin_checkpoint w.slt part_a = `Shadow_busy)
 
 let test_reset_clears_shadow () =
   let w = mk_slt ~n_update:1_000_000 () in
-  Slt.accept w.slt (record_for w ~txn:1 ~seq:1 part_a);
+  Frames.accept w.slt (record_for w ~txn:1 ~seq:1 part_a);
   ignore (Slt.begin_checkpoint w.slt part_a);
   let bin = Option.get (Slt.find_bin w.slt part_a) in
   Partition_bin.reset_after_checkpoint bin;
@@ -756,14 +739,14 @@ let test_oldest_lsn_spans_generations () =
   (* Fill enough for pages, cut, then more pages: the age trigger must
      track the SHADOW's first page (the oldest). *)
   for i = 1 to 30 do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
+    Frames.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
   done;
   Mrdb_sim.Sim.run w.sim;
   let bin = Option.get (Slt.find_bin w.slt part_a) in
   let oldest_before = Partition_bin.oldest_lsn bin in
   ignore (Slt.begin_checkpoint w.slt part_a);
   for i = 31 to 60 do
-    Slt.accept w.slt (record_for w ~txn:2 ~seq:i ~size:40 part_a)
+    Frames.accept w.slt (record_for w ~txn:2 ~seq:i ~size:40 part_a)
   done;
   Mrdb_sim.Sim.run w.sim;
   check i64_t "oldest lsn is the shadow's" oldest_before (Partition_bin.oldest_lsn bin);
@@ -792,7 +775,7 @@ let prop_slt_pipeline_equivalence =
       let bin_idx = ref (Slt.bin_index_of !slt part_a) in
       let watermark = ref 0 in
       for seq = 1 to n_records do
-        Slt.accept !slt
+        Frames.accept !slt
           (Log_record.make ~tag:Log_record.Relation_op ~bin_index:!bin_idx ~txn_id:1
              ~seq
              ~op:(Part_op.Insert { slot = seq; data = Bytes.make 24 'p' }));
@@ -829,12 +812,9 @@ let prop_slt_pipeline_equivalence =
       Slt.records_for_recovery !slt part_a (fun r -> result := Some r);
       Mrdb_sim.Sim.run sim;
       match !result with
-      | Some (Ok records) ->
+      | Some (Ok chunks) ->
           let recovered =
-            List.filter_map
-              (fun (r : Log_record.t) ->
-                if r.Log_record.seq > !watermark then Some r.Log_record.seq else None)
-              records
+            List.filter (fun seq -> seq > !watermark) (Frames.seqs (Frames.of_chunks chunks))
           in
           recovered = List.init (n_records - !watermark) (fun i -> !watermark + 1 + i)
       | Some (Error _) | None -> false)
@@ -853,6 +833,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_page_roundtrip;
           Alcotest.test_case "detects corruption" `Quick test_page_detects_corruption;
           Alcotest.test_case "rejects oversized payload" `Quick test_page_rejects_oversized_payload;
+          Alcotest.test_case "rejects frame overrun" `Quick test_page_rejects_frame_overrun;
         ] );
       ( "slb",
         [
@@ -861,6 +842,8 @@ let () =
           Alcotest.test_case "chains span blocks" `Quick test_slb_chains_span_blocks;
           Alcotest.test_case "exhaustion" `Quick test_slb_exhaustion;
           Alcotest.test_case "empty commit trivial" `Quick test_slb_empty_commit_is_trivial;
+          Alcotest.test_case "materialize rolls back on Slb_full" `Quick
+            test_slb_materialize_rollback;
           Alcotest.test_case "survives crash" `Quick test_slb_survives_crash;
           Alcotest.test_case "ring wrap-around" `Quick test_slb_ring_wraparound;
           Alcotest.test_case "ring wrap + crash recover" `Quick
