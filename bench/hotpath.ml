@@ -27,7 +27,11 @@
      bootstrap, then every partition: checkpoint image ∥ log chain, then
      the REDO apply), repeated over several crash/recover cycles; ops are
      records applied and the allocation is billed per record applied
-     (CI floors it: the image copies and the frame walk must not grow).
+     (CI floors it: the image copies and the frame walk must not grow);
+   - checksum: Checksum.crc32 over one 8 KB log page, the unit every page
+     seal and read, checkpoint image and ship cut pays per byte; reports
+     MB/s ("mb_per_sec") and the allocation per call (CI floors the
+     allocation, never the MB/s).
 
    The codec sweep runs the debit_credit workload once per REDO codec
    (physical / logical / adaptive) and reports, per codec, the log bytes
@@ -233,6 +237,32 @@ let bench_restore ~txns ~cycles =
   let records = float_of_int !records in
   (records /. !elapsed, !words *. float_of_int (Sys.word_size / 8) /. records)
 
+(* CRC-32 of one 8 KB page, [n] calls in clean windows of 1,000.  The
+   result is folded into a sink so no call is dead. *)
+let checksum_page_bytes = 8192
+
+let bench_checksum n =
+  let page =
+    Bytes.init checksum_page_bytes (fun i -> Char.unsafe_chr ((i * 131) land 0xFF))
+  in
+  let sink = ref 0l in
+  let batch = 1_000 in
+  let elapsed = ref 0.0 and alloc = acc () and done_ = ref 0 in
+  while !done_ < n do
+    let k = min batch (n - !done_) in
+    elapsed :=
+      !elapsed
+      +. measure_window alloc ~ops:k (fun () ->
+             for _ = 1 to k do
+               sink :=
+                 Int32.logxor !sink
+                   (Mrdb_util.Checksum.crc32 page ~pos:0 ~len:checksum_page_bytes)
+             done);
+    done_ := !done_ + k
+  done;
+  ignore (Sys.opaque_identity !sink);
+  (float_of_int n /. !elapsed, per_op alloc)
+
 (* One debit_credit run under a forced REDO codec.  Log volume comes from
    the codec_log_bytes counter (maintained for every emitted record, any
    family), deltaed across the timed loop so the bank setup is excluded.
@@ -361,6 +391,7 @@ let () =
       ("debit_credit", txn_result, scale 2_000);
       ("debit_credit_nexec", nexec_result, scale 2_000);
       ("restore", bench_restore ~txns:(scale 2_000) ~cycles:(scale 100), scale 100);
+      ("checksum", bench_checksum (scale 100_000), scale 100_000);
     ]
   in
   let buf = Buffer.create 512 in
@@ -376,6 +407,10 @@ let () =
           Printf.sprintf ", \"latency_ns\": { \"p50\": %d, \"p99\": %d }" p50 p99
         else if name = "debit_credit_nexec" then
           Printf.sprintf ", \"executors\": 4, \"ops_per_sec_e1\": %.1f" ops_e1
+        else if name = "checksum" then
+          Printf.sprintf ", \"page_bytes\": %d, \"mb_per_sec\": %.1f"
+            checksum_page_bytes
+            (ops *. float_of_int checksum_page_bytes /. 1e6)
         else ""
       in
       Buffer.add_string buf

@@ -340,9 +340,9 @@ let corrupt_page t ~page ~at ~len =
   done;
   t.store.(page) <- Some base
 
-let peek_page t ~page =
+let with_page t ~page f =
   check_page t page;
-  Option.map Bytes.copy t.store.(page)
+  Option.map f t.store.(page)
 
 let install_page t ~page data =
   check_page t page;

@@ -110,8 +110,11 @@ val corrupt_page : t -> page:int -> at:int -> len:int -> unit
 (** {2 Untimed inspection and installation (tests, crash-state capture,
     replication apply)} *)
 
-val peek_page : t -> page:int -> bytes option
-(** Contents of a page if it has ever been written (copy). *)
+val with_page : t -> page:int -> (bytes -> 'a) -> 'a option
+(** [with_page t ~page f] applies [f] to the page's media content if it
+    has ever been written ([None] otherwise), untimed.  A read-only
+    borrow, not a copy: [f] must neither mutate the buffer nor keep it
+    past its return — copy what must outlive the call. *)
 
 val install_page : t -> page:int -> bytes -> unit
 (** Install a page image directly onto the media, untimed and atomic —

@@ -158,9 +158,9 @@ let crash_queue t =
   Disk.crash_queue t.a.disk;
   Disk.crash_queue t.b.disk
 
-let peek_page t ~page =
-  if t.a.status = Ok_ then Disk.peek_page t.a.disk ~page
-  else if t.b.status = Ok_ then Disk.peek_page t.b.disk ~page
+let with_page t ~page f =
+  if t.a.status = Ok_ then Disk.with_page t.a.disk ~page f
+  else if t.b.status = Ok_ then Disk.with_page t.b.disk ~page f
   else None
 
 let install_page t ~page data =

@@ -70,8 +70,8 @@ val rebuild : t -> [ `Primary | `Mirror ] -> (unit -> unit) -> unit
 val crash_queue : t -> unit
 (** {!Disk.crash_queue} on both members (see {!Crash.machine}). *)
 
-val peek_page : t -> page:int -> bytes option
-(** Reads the surviving copy (untimed). *)
+val with_page : t -> page:int -> (bytes -> 'a) -> 'a option
+(** {!Disk.with_page} on the surviving copy (untimed, read-only borrow). *)
 
 val install_page : t -> page:int -> bytes -> unit
 (** {!Disk.install_page} on every non-failed member: the replication apply

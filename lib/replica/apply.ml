@@ -57,22 +57,23 @@ let window_chunks standby =
   let page_bytes = Log_disk.page_bytes ld and dir_size = Log_disk.dir_size ld in
   let by_part = Hashtbl.create 32 in
   let lsn = ref (Log_disk.window_start ld) in
+  (* Parsed (CRC, header, frame tiling) in place on the borrowed media
+     buffer. *)
+  let take image =
+    match Log_page.parse ~page_bytes ~dir_size image with
+    | Error _ -> ()
+    | Ok (header, { Log_page.pos; len; _ }) ->
+        if header.Log_page.lsn = !lsn then
+          let part = header.Log_page.part in
+          let prev = Option.value (Hashtbl.find_opt by_part part) ~default:[] in
+          (* Copy out only the framed payload: the borrow ends with this
+             call, and the window's chunks are all held until the audit
+             ends. *)
+          let chunk = { Log_page.buf = Bytes.sub image pos len; pos = 0; len } in
+          Hashtbl.replace by_part part (chunk :: prev)
+  in
   while !lsn < Log_disk.next_lsn ld do
-    (match Log_disk.peek_page ld ~lsn:!lsn with
-    | None -> ()
-    | Some image -> (
-        match Log_page.parse ~page_bytes ~dir_size image with
-        | Error _ -> ()
-        | Ok (header, { Log_page.pos; len; _ }) ->
-            if header.Log_page.lsn = !lsn then
-              let part = header.Log_page.part in
-              let prev =
-                Option.value (Hashtbl.find_opt by_part part) ~default:[]
-              in
-              (* Keep only the framed payload, not the whole page image:
-                 the window's pages are all held until the audit ends. *)
-              let chunk = { Log_page.buf = Bytes.sub image pos len; pos = 0; len } in
-              Hashtbl.replace by_part part (chunk :: prev)));
+    ignore (Log_disk.with_page ld ~lsn:!lsn take);
     lsn := Int64.add !lsn 1L
   done;
   Hashtbl.filter_map_inplace (fun _ chunks -> Some (List.rev chunks)) by_part;
@@ -83,7 +84,8 @@ let window_chunks standby =
    watermark, replayed through the same {!Mrdb_recovery.Restorer} REDO
    kernel a restart uses.  The image goes through the restore fetch's
    image half ({!Mrdb_recovery.Restorer.partition_of_image}) but is read
-   with untimed peeks: an audit must not move the standby's clock.
+   with untimed borrows, each page blitted straight into one image
+   buffer: an audit must not move the standby's clock.
    [None] = the durable state cannot reproduce the partition (missing,
    corrupt or mismatched image, or a replay that blows an invariant). *)
 let rebuild ~standby ~by_part (c : Ship_log.part_check) =
@@ -97,15 +99,22 @@ let rebuild ~standby ~by_part (c : Ship_log.part_check) =
             ~partition:part.Mrdb_storage.Addr.partition,
           0 )
     else
-      let pages =
-        List.init c.Ship_log.ckpt_pages (fun i ->
-            Mrdb_hw.Disk.peek_page (Db.ckpt_disk standby) ~page:(c.Ship_log.ckpt_page + i))
+      let disk = Db.ckpt_disk standby in
+      let pb = (Mrdb_hw.Disk.params disk).Mrdb_hw.Disk.page_bytes in
+      let image = Bytes.create (c.Ship_log.ckpt_pages * pb) in
+      let rec blit i =
+        if i = c.Ship_log.ckpt_pages then true
+        else
+          match
+            Mrdb_hw.Disk.with_page disk ~page:(c.Ship_log.ckpt_page + i) (fun p ->
+                Bytes.blit p 0 image (i * pb) pb)
+          with
+          | None -> false
+          | Some () -> blit (i + 1)
       in
-      if List.exists Option.is_none pages then None
+      if not (blit 0) then None
       else
-        Mrdb_recovery.Restorer.partition_of_image ~part
-          (Bytes.concat Bytes.empty (List.filter_map Fun.id pages))
-        |> Result.to_option
+        Mrdb_recovery.Restorer.partition_of_image ~part image |> Result.to_option
   in
   match base with
   | None -> None

@@ -153,7 +153,7 @@ let ship_cut t =
     let log_pages = ref [] in
     let l = ref base_lsn in
     while !l < next do
-      (match Log_disk.peek_page ld ~lsn:!l with
+      (match Log_disk.with_page ld ~lsn:!l Bytes.copy with
       | Some img -> log_pages := (!l, img) :: !log_pages
       | None -> ());
       l := Int64.add !l 1L
@@ -162,14 +162,19 @@ let ship_cut t =
     let disk = Db.ckpt_disk t.primary in
     let cur_crcs = Hashtbl.create 64 in
     let changed = ref [] in
-    for page = Mrdb_hw.Disk.capacity_pages disk - 1 downto 0 do
-      match Mrdb_hw.Disk.peek_page disk ~page with
-      | None -> ()
-      | Some img ->
-          let crc = Checksum.crc32_bytes img in
-          Hashtbl.replace cur_crcs page crc;
-          if full || Hashtbl.find_opt t.acked_ckpt page <> Some crc then
-            changed := (page, img) :: !changed
+    (* Every written page is CRC'd in place on every cut; only the pages
+       the standby does not provably hold are copied out to ship.  One
+       closure serves the whole scan, so an unwritten page costs nothing. *)
+    let page = ref 0 in
+    let diff img =
+      let crc = Checksum.crc32_bytes img in
+      Hashtbl.replace cur_crcs !page crc;
+      if full || Hashtbl.find_opt t.acked_ckpt !page <> Some crc then
+        changed := (!page, Bytes.copy img) :: !changed
+    in
+    for p = Mrdb_hw.Disk.capacity_pages disk - 1 downto 0 do
+      page := p;
+      ignore (Mrdb_hw.Disk.with_page disk ~page:p diff)
     done;
     let checks =
       List.filter_map

@@ -2,11 +2,15 @@ open Mrdb_storage
 
 exception Out_of_undo_space
 
-type block = { buf : bytes; mutable used : int }
+(* A block's buffer is created at its first allocation and kept after
+   that: a fresh space (one per restart) costs a few words per block, not
+   [block_bytes]. *)
+type block = { mutable buf : bytes; mutable used : int }
 
 type t = {
   block_bytes : int;
-  free : int Queue.t; (* free block indices *)
+  free : int array; (* free block indices, a stack: [free.(0 .. nfree-1)] *)
+  mutable nfree : int;
   blocks : block array;
   epoch : Mrdb_hw.Volatile.Epoch.t;
   born : int;
@@ -20,14 +24,13 @@ type chain = {
 
 let create ?(block_bytes = 2048) ?(block_count = 1024) epoch =
   if block_bytes < 64 || block_count < 1 then Mrdb_util.Fatal.misuse "Undo_space.create";
-  let free = Queue.create () in
-  for i = 0 to block_count - 1 do
-    Queue.add i free
-  done;
   {
     block_bytes;
-    free;
-    blocks = Array.init block_count (fun _ -> { buf = Bytes.create block_bytes; used = 0 });
+    (* Popped from the top: block 0 first, and a released block is the
+       next one reused, so a steady load keeps touching the same few. *)
+    free = Array.init block_count (fun i -> block_count - 1 - i);
+    nfree = block_count;
+    blocks = Array.init block_count (fun _ -> { buf = Bytes.empty; used = 0 });
     epoch;
     born = Mrdb_hw.Volatile.Epoch.current epoch;
   }
@@ -37,15 +40,17 @@ let check_live t =
     raise (Mrdb_hw.Volatile.Lost "undo-space: volatile data lost in crash")
 
 let block_bytes t = t.block_bytes
-let blocks_free t = Queue.length t.free
+let blocks_free t = t.nfree
 let blocks_in_use t = Array.length t.blocks - blocks_free t
 
 let alloc_block t =
-  match Queue.take_opt t.free with
-  | Some i ->
-      t.blocks.(i).used <- 0;
-      i
-  | None -> raise Out_of_undo_space
+  if t.nfree = 0 then raise Out_of_undo_space;
+  t.nfree <- t.nfree - 1;
+  let i = t.free.(t.nfree) in
+  let block = t.blocks.(i) in
+  if Bytes.length block.buf = 0 then block.buf <- Bytes.create t.block_bytes;
+  block.used <- 0;
+  i
 
 let open_chain t =
   check_live t;
@@ -103,7 +108,11 @@ let decode_block t idx =
   !acc (* newest-first within the block *)
 
 let release t chain =
-  List.iter (fun i -> Queue.add i t.free) chain.blocks_held;
+  List.iter
+    (fun i ->
+      t.free.(t.nfree) <- i;
+      t.nfree <- t.nfree + 1)
+    chain.blocks_held;
   chain.blocks_held <- [];
   chain.records <- 0;
   chain.bytes <- 0

@@ -94,6 +94,8 @@ module Enc = struct
     t.len <- t.len + n
 
   let to_bytes t = Bytes.sub t.buf 0 t.len
+
+  let finish t = if t.len = Bytes.length t.buf then t.buf else to_bytes t
 end
 
 module Dec = struct

@@ -29,6 +29,12 @@ module Enc : sig
 
   val to_bytes : t -> bytes
   (** Copy of the encoded contents. *)
+
+  val finish : t -> bytes
+  (** The encoded contents, handed over without a copy when they fill the
+      buffer exactly (an encoder created with [~capacity] equal to the
+      final length), else a copy as {!to_bytes}.  The encoder must not be
+      used afterwards. *)
 end
 
 (** Cursor-based decoder. Reading past the end raises [Failure]. *)

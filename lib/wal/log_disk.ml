@@ -100,8 +100,8 @@ let install_page t ~lsn image =
   if lsn < 0L then Mrdb_util.Fatal.misuse "Log_disk.install_page: negative LSN";
   Mrdb_hw.Duplex.install_page t.duplex ~page:(slot t lsn) image
 
-let peek_page t ~lsn =
-  if in_window t lsn then Mrdb_hw.Duplex.peek_page t.duplex ~page:(slot t lsn)
+let with_page t ~lsn f =
+  if in_window t lsn then Mrdb_hw.Duplex.with_page t.duplex ~page:(slot t lsn) f
   else None
 
 let pages_written t = t.pages_written

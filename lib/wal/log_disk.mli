@@ -78,9 +78,12 @@ val install_page : t -> lsn:int64 -> bytes -> unit
     separately as part of the shipped stable-memory image, so during a
     batch apply the slot legitimately runs ahead of the local counter. *)
 
-val peek_page : t -> lsn:int64 -> bytes option
-(** Raw image of the in-window page at [lsn] from a surviving mirror
-    (untimed; [None] when out of window or never written) — the shipping
-    side reads sealed pages without disturbing device queues. *)
+val with_page : t -> lsn:int64 -> (bytes -> 'a) -> 'a option
+(** [with_page t ~lsn f] applies [f] to the raw image of the in-window
+    slot at [lsn] on a surviving mirror (untimed; [None] when out of
+    window or never written) — the shipping side and the standby audit
+    read sealed pages without disturbing device queues.  A read-only
+    borrow of the media buffer ({!Mrdb_hw.Disk.with_page}): [f] must not
+    mutate it or keep it past its return. *)
 
 val pages_written : t -> int

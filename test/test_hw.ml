@@ -98,9 +98,7 @@ let test_disk_track_write_and_read () =
   Mrdb_sim.Sim.run sim;
   check Alcotest.string "track roundtrip" (Bytes.to_string data) (Bytes.to_string !got);
   check bool_t "page 9 visible individually" true
-    (match Disk.peek_page disk ~page:9 with
-    | Some b -> Bytes.get b 0 = 'b'
-    | None -> false)
+    (Disk.with_page disk ~page:9 (fun b -> Bytes.get b 0) = Some 'b')
 
 let test_disk_track_faster_than_pages () =
   let sim1, d1 = mk_sim_disk () in
@@ -247,7 +245,7 @@ let test_disk_torn_write_on_crash () =
       Alcotest.fail "crashed write must not complete");
   (* The write is in service from submit time; crash before it completes. *)
   Crash.machine ~sim ~disks:[ disk ] ();
-  match Disk.peek_page disk ~page:5 with
+  match Disk.with_page disk ~page:5 Bytes.copy with
   | None -> Alcotest.fail "torn write left no media trace"
   | Some b ->
       check Alcotest.char "prefix reached media" 'n' (Bytes.get b 0);
@@ -311,8 +309,8 @@ let test_duplex_rebuild_resilvers () =
   check int_t "rebuilds counted" 1 (Mrdb_sim.Trace.count trace "duplex_rebuilds");
   for i = 0 to 11 do
     let expect = Char.chr (Char.code 'a' + i) in
-    match Disk.peek_page (Duplex.mirror d) ~page:i with
-    | Some b -> check Alcotest.char (Printf.sprintf "page %d resilvered" i) expect (Bytes.get b 0)
+    match Disk.with_page (Duplex.mirror d) ~page:i (fun b -> Bytes.get b 0) with
+    | Some c -> check Alcotest.char (Printf.sprintf "page %d resilvered" i) expect c
     | None -> Alcotest.failf "page %d missing on rebuilt mirror" i
   done
 

@@ -76,6 +76,50 @@ let test_codec_rejects_corruption () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "frame with wrong magic decoded"
 
+(* A batch the size a default-config cut ships (a full stable-memory
+   image plus a log and a checkpoint page) is built in one buffer of its
+   final length, and decoded without a copy of its body: the decoded
+   batch owns copies of its page and stable images, about one frame
+   length, and a body copy would double that. *)
+let test_codec_one_buffer () =
+  let stable_bytes = Mrdb_wal.Stable_layout.required_bytes Config.default.Config.stable in
+  let page = Bytes.init 8192 (fun i -> Char.chr (i land 0xFF)) in
+  let frame =
+    Ship_log.Batch
+      {
+        Ship_log.epoch = 1;
+        cut = 2;
+        full = true;
+        log_pages = [ (40L, page) ];
+        ckpt_pages = [ (3, Bytes.copy page) ];
+        checks =
+          [
+            {
+              Ship_log.part = { Mrdb_storage.Addr.segment = 1; partition = 0 };
+              ckpt_page = 3;
+              ckpt_pages = 1;
+              crc = 0x1234l;
+            };
+          ];
+        stable = Bytes.make stable_bytes '\x33';
+      }
+  in
+  let allocated f =
+    let a0 = Gc.allocated_bytes () in
+    let r = f () in
+    (r, Gc.allocated_bytes () -. a0)
+  in
+  let wire, enc = allocated (fun () -> Ship_log.encode frame) in
+  let len = float_of_int (Bytes.length wire) in
+  check Alcotest.bool
+    (Printf.sprintf "encode allocates %.0f B for a %.0f B frame" enc len)
+    true (enc <= 1.25 *. len);
+  let decoded, dec = allocated (fun () -> Ship_log.decode wire) in
+  check Alcotest.bool
+    (Printf.sprintf "decode allocates %.0f B for a %.0f B frame" dec len)
+    true (dec <= 1.25 *. len);
+  check Alcotest.bool "frame survives encode/decode" true (decoded = Ok frame)
+
 (* -- Role state machine --------------------------------------------------- *)
 
 let expect_misuse what f =
@@ -124,7 +168,7 @@ let test_corrupt_header_image_diverges () =
   let disk = Db.ckpt_disk s in
   let pages =
     List.init n (fun i ->
-        match Disk.peek_page disk ~page:(first + i) with
+        match Disk.with_page disk ~page:(first + i) Bytes.copy with
         | Some pg -> pg
         | None -> Alcotest.fail "standby image page missing")
   in
@@ -320,6 +364,7 @@ let () =
             Alcotest.test_case "frame roundtrip" `Quick test_codec_roundtrip;
             Alcotest.test_case "corruption rejected" `Quick
               test_codec_rejects_corruption;
+            Alcotest.test_case "one buffer per frame" `Quick test_codec_one_buffer;
           ] );
         ("roles", [ Alcotest.test_case "gating" `Quick test_role_gating ]);
         ( "audit",

@@ -346,6 +346,28 @@ let test_undo_exhaustion () =
         Undo_space.push u c part_a (Part_op.Insert { slot = i; data = Bytes.make 30 'x' })
       done)
 
+(* A fresh space (one per restart) holds no block buffers: 1,024 x 2 KB
+   would be 2 MB allocated before the first transaction.  A block gets its
+   buffer at first use and keeps it for the next chain. *)
+let test_undo_blocks_on_first_use () =
+  let epoch = Mrdb_hw.Volatile.Epoch.create () in
+  let a0 = Gc.allocated_bytes () in
+  let u = Undo_space.create ~block_bytes:2048 ~block_count:1024 epoch in
+  let created = Gc.allocated_bytes () -. a0 in
+  check bool_t (Printf.sprintf "create allocates %.0f B" created) true (created < 65536.);
+  check int_t "all free" 1024 (Undo_space.blocks_free u);
+  let c = Undo_space.open_chain u in
+  Undo_space.push u c part_a (Part_op.Delete { slot = 1 });
+  Undo_space.discard u c;
+  let a1 = Gc.allocated_bytes () in
+  let c = Undo_space.open_chain u in
+  Undo_space.push u c part_a (Part_op.Delete { slot = 2 });
+  let reused = Gc.allocated_bytes () -. a1 in
+  check bool_t (Printf.sprintf "second chain allocates %.0f B" reused) true (reused < 2048.);
+  check (Alcotest.list int_t) "record" [ 2 ]
+    (List.map (fun (_, op) -> Part_op.slot op) (Undo_space.pop_all u c));
+  check int_t "all free again" 1024 (Undo_space.blocks_free u)
+
 let test_undo_lost_on_crash () =
   let epoch = Mrdb_hw.Volatile.Epoch.create () in
   let u = Undo_space.create epoch in
@@ -591,6 +613,8 @@ let () =
           Alcotest.test_case "discard releases" `Quick test_undo_discard_releases;
           Alcotest.test_case "exhaustion" `Quick test_undo_exhaustion;
           Alcotest.test_case "lost on crash" `Quick test_undo_lost_on_crash;
+          Alcotest.test_case "block buffers on first use" `Quick
+            test_undo_blocks_on_first_use;
         ] );
       ( "txn",
         [

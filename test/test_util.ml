@@ -204,11 +204,6 @@ let test_crc32_detects_flip () =
   Bytes.set b 5 'X';
   check bool_t "changed" true (c1 <> Checksum.crc32_bytes b)
 
-let test_fletcher_differs_on_swap () =
-  let a = Bytes.of_string "ab" and b = Bytes.of_string "ba" in
-  check bool_t "order-sensitive" true
-    (Checksum.fletcher32 a ~pos:0 ~len:2 <> Checksum.fletcher32 b ~pos:0 ~len:2)
-
 let prop_crc32_subrange_consistent =
   QCheck.Test.make ~name:"crc32 subrange = crc32 of sub-bytes" ~count:200
     QCheck.(string_of_size Gen.(int_range 1 64))
@@ -216,6 +211,47 @@ let prop_crc32_subrange_consistent =
       let b = Bytes.of_string s in
       let padded = Bytes.cat (Bytes.of_string "##") (Bytes.cat b (Bytes.of_string "##")) in
       Checksum.crc32 padded ~pos:2 ~len:(Bytes.length b) = Checksum.crc32_bytes b)
+
+(* The slicing-by-8 kernel against the byte-at-a-time oracle
+   ({!Crc_reference}).  Half the cases have [len] 0-40, so tails shorter
+   than 8 bytes meet starts at every offset 0-15; the rest run up to
+   20 KB (two and a half log pages). *)
+let crc_case =
+  let open QCheck.Gen in
+  let* len = frequency [ (1, int_range 0 40); (1, int_range 41 20_480) ] in
+  let* pos = int_range 0 15 in
+  let* slack = int_range 0 15 in
+  let* buf = bytes_size ~gen:char (return (pos + len + slack)) in
+  let* init = frequency [ (1, return 0l); (3, int32) ] in
+  return (buf, pos, len, init)
+
+let print_crc_case (buf, pos, len, init) =
+  Printf.sprintf "buf=%d bytes pos=%d len=%d init=%ld" (Bytes.length buf) pos len init
+
+let prop_crc32_matches_reference =
+  QCheck.Test.make ~name:"crc32 = byte-at-a-time reference" ~count:10_000
+    (QCheck.make ~print:print_crc_case crc_case)
+    (fun (buf, pos, len, init) ->
+      Checksum.crc32 ~init buf ~pos ~len = Crc_reference.crc32 ~init buf ~pos ~len)
+
+let prop_crc32_chains =
+  QCheck.Test.make ~name:"crc32 ~init:(crc32 a) b = crc32 (a ^ b)" ~count:1_000
+    (QCheck.make ~print:print_crc_case crc_case)
+    (fun (buf, pos, len, init) ->
+      let cut = pos + (len / 3) in
+      let head = Checksum.crc32 ~init buf ~pos ~len:(cut - pos) in
+      let whole = Checksum.crc32 ~init buf ~pos ~len in
+      Checksum.crc32 ~init:head buf ~pos:cut ~len:(pos + len - cut) = whole
+      && whole = Crc_reference.crc32 ~init buf ~pos ~len)
+
+let test_crc32_bounds () =
+  let b = Bytes.create 16 in
+  List.iter
+    (fun (pos, len) ->
+      match Checksum.crc32 b ~pos ~len with
+      | _ -> Alcotest.failf "crc32 accepted pos=%d len=%d" pos len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 4); (0, -1); (10, 7); (17, 0) ]
 
 (* -- Pqueue ----------------------------------------------------------------- *)
 
@@ -471,9 +507,14 @@ let () =
           Alcotest.test_case "crc32 known vector" `Quick test_crc32_known_vector;
           Alcotest.test_case "crc32 empty" `Quick test_crc32_empty;
           Alcotest.test_case "crc32 detects bit flip" `Quick test_crc32_detects_flip;
-          Alcotest.test_case "fletcher order-sensitive" `Quick test_fletcher_differs_on_swap;
+          Alcotest.test_case "crc32 bounds" `Quick test_crc32_bounds;
         ]
-        @ qsuite [ prop_crc32_subrange_consistent ] );
+        @ qsuite
+            [
+              prop_crc32_subrange_consistent;
+              prop_crc32_matches_reference;
+              prop_crc32_chains;
+            ] );
       ( "pqueue",
         [
           Alcotest.test_case "ordering" `Quick test_pqueue_ordering;
